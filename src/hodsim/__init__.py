@@ -15,6 +15,7 @@ from .detection import (
     BaseAlertRecord,
     ConnectivityGraph,
     DetectorThresholds,
+    FlatMonitors,
     HodMonitors,
     SummaryReport,
     base_station_report,
@@ -24,7 +25,6 @@ from .detection import (
 from .mac import SchedulingError, SmacSchedule, TdmaSchedule, build_tdma
 from .metrics import (
     ComparisonReport,
-    FlatMonitors,
     Metrics,
     compare,
     run_scenario,

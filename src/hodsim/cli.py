@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig
-from .detection import base_station_report
+from .detection import DetectorThresholds, base_station_report
 from .metrics import Metrics, compare, rows_to_csv, run_scenario, score
 from .simcore import RunLog
 from .topology import Topology
@@ -89,10 +89,15 @@ def _render_metrics(m: Metrics) -> list[str]:
     return lines
 
 
-def render_summary(log: RunLog, topology: Topology, metrics: Metrics) -> str:
+def render_summary(
+    log: RunLog,
+    topology: Topology,
+    metrics: Metrics,
+    thresholds: DetectorThresholds | None = None,
+) -> str:
     out = [_header(log)]
     if log.mode == "hod":
-        report = base_station_report(log, topology)
+        report = base_station_report(log, topology, thresholds)
         out.append(f"alerts received at base station: {report.total_alerts}")
         out.append("")
         out.append("per-scope alert tally:")
@@ -121,8 +126,8 @@ def render_summary(log: RunLog, topology: Topology, metrics: Metrics) -> str:
     else:
         out.append(f"local anomaly records: {len(log.flat_anomalies)}")
         by_rule: dict[str, int] = {}
-        for rec in log.flat_anomalies:
-            by_rule[rec["rule"]] = by_rule.get(rec["rule"], 0) + 1
+        for a in log.flat_anomalies:
+            by_rule[a.rule.value] = by_rule.get(a.rule.value, 0) + 1
         for rule in sorted(by_rule):
             out.append(f"  {rule}: {by_rule[rule]}")
     out.append("")
@@ -228,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
                     )
                 if want_text:
                     outputs.write(
-                        f"summary_{mode}_{seed}.txt", render_summary(log, topology, m)
+                        f"summary_{mode}_{seed}.txt",
+                        render_summary(log, topology, m, scenario.thresholds),
                     )
                 print(
                     f"ran {mode} seed={seed}: "

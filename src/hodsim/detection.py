@@ -1,8 +1,12 @@
-"""Four-layer detection: cluster rules, regional aggregation, base watchdog.
+"""Detection for both modes: the shared rules and the two monitor layers.
 
-Sensors host no detection logic at all; they only produce data.  Cluster nodes
-run the per-packet rules (foreign origin, TDMA slot, S-MAC sleep, route) plus
-the windowed jamming vote over channel statistics.  Regional nodes watch their
+The per-packet rules (foreign origin, TDMA slot, S-MAC sleep, route) live in
+one function, evaluate_data_packet, and the windowed jamming vote over channel
+statistics in detect_jamming; both monitor layers apply exactly these.
+
+HodMonitors is the four-layer overlay.  Sensors host no detection logic at
+all; they only produce data.  Cluster nodes run the per-packet rules and the
+jamming vote over what reached them.  Regional nodes watch their
 member clusters (liveness and alert suppression) and forward everything
 upward; the base station watches the regionals and keeps the authoritative
 alert ledger.  Alerts ripple up one hop per aggregation window: cluster ->
@@ -13,6 +17,13 @@ reliable long-range channel.
 The layer tag on an alert names the protocol layer whose rule fired:
 phy (jamming), link (slot / sleep / foreign origin), net (route deviation),
 overlay (watchdog findings about the monitoring hierarchy itself).
+
+FlatMonitors is the baseline without the hierarchy: every sensor promiscuously
+overhears its neighborhood, runs the same rules locally on the data addressed
+to its own cluster, and gossips per-window state and anomaly notices to each
+in-range peer.  Those exchanges ride the always-on control plane (exempt from
+the data-plane duty cycle), which is exactly the per-node overhead the
+hierarchical overlay is designed to avoid.
 """
 
 from __future__ import annotations
@@ -22,8 +33,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .mac import is_sleep_violation, is_slot_violation, slot_owner_at
+from .mac import SmacSchedule, TdmaSchedule, is_sleep_violation, is_slot_violation, slot_owner_at
 from .simcore import (
+    DATA_KINDS,
     ChannelWindowStats,
     CompromiseMode,
     Engine,
@@ -128,6 +140,28 @@ class Alert:
         return (self.rule.value, self.suspect, self.window, self.packet_id)
 
 
+def _new_alert(
+    rule: AlertRule,
+    suspect: str,
+    detected_by: int,
+    now: SimTime,
+    window: int,
+    evidence: dict[str, Any],
+    packet_id: int | None = None,
+) -> Alert:
+    return Alert(
+        rule=rule,
+        layer=LAYER_OF_RULE[rule],
+        suspect=suspect,
+        detected_by=detected_by,
+        detected_at=now,
+        window=window,
+        hop_trail=[detected_by],
+        evidence=evidence,
+        packet_id=packet_id,
+    )
+
+
 def alert_to_dict(alert: Alert) -> dict[str, Any]:
     return {
         "rule": alert.rule.value,
@@ -220,12 +254,16 @@ class ConnectivityGraph:
 
 
 def check_route(graph: ConnectivityGraph, packet: Packet) -> tuple[bool, dict[str, Any]]:
-    """Route verdict for a data packet delivered to its destination.
+    """Route verdict for a data packet addressed to its destination.
 
-    The observed path is the claimed origin followed by every hop receiver.
+    The observed path is the claimed origin followed by every hop receiver,
+    completed with the destination when the last hop was not delivered (a
+    packet overheard on its way to a destination that never received it).
     """
     expected = graph.expected_route(packet.origin, packet.dst)
-    observed = [packet.origin] + list(packet.path_so_far)
+    observed = [packet.origin, *packet.path_so_far]
+    if observed[-1] != packet.dst:
+        observed.append(packet.dst)
     if expected is None:
         return False, {"error": "NoRoute"}
     violated = observed != expected
@@ -241,9 +279,8 @@ def detect_jamming(
     stats: ChannelWindowStats, thresholds: DetectorThresholds
 ) -> tuple[bool, dict[str, Any]]:
     """k-of-3 vote over PDR, mean idle RSSI, and mean carrier-sense time."""
-    assert thresholds.idle_rssi_max_dbm is not None and thresholds.carrier_sense_max_us is not None, (
-        "thresholds must be resolved against the radio model"
-    )
+    if thresholds.idle_rssi_max_dbm is None or thresholds.carrier_sense_max_us is None:
+        raise AssertionError("thresholds must be resolved against the radio model")
     trips = {
         "pdr": stats.pdr < thresholds.pdr_min,
         "idle_rssi": stats.mean_idle_rssi_dbm > thresholds.idle_rssi_max_dbm,
@@ -260,10 +297,39 @@ def detect_jamming(
 
 
 # ============================================================================
-# Cluster pipeline
+# Per-packet rules and the cluster pipeline
 # ============================================================================
 
-DATA_KINDS = (PacketKind.SENSOR_DATA, PacketKind.ATTACK_TRAFFIC)
+
+def evaluate_data_packet(
+    packet: Packet,
+    t_tx: SimTime,
+    members: set[int],
+    tdma: TdmaSchedule,
+    smac: SmacSchedule,
+    graph: ConnectivityGraph,
+    cell: HexCoord,
+) -> tuple[list[tuple[AlertRule, dict[str, Any]]], int]:
+    """Apply the per-packet rules to one data packet bound for cell's cluster.
+
+    t_tx is the claimed transmit time, members the sensors of the cell.
+    Returns the findings as (rule, evidence) pairs, each naming the claimed
+    origin as suspect, plus the number of rules evaluated: 1 when the
+    foreign-origin check short-circuits, otherwise 4.
+    """
+    if packet.origin not in members:
+        return [(AlertRule.FOREIGN_ORIGIN, {"t_tx": t_tx, "cell": suspect_cell(cell)})], 1
+    findings: list[tuple[AlertRule, dict[str, Any]]] = []
+    if is_slot_violation(tdma, packet.origin, t_tx):
+        findings.append(
+            (AlertRule.SLOT_VIOLATION, {"t_tx": t_tx, "slot_owner": slot_owner_at(tdma, t_tx)})
+        )
+    if is_sleep_violation(smac, t_tx):
+        findings.append((AlertRule.SLEEP_VIOLATION, {"t_tx": t_tx}))
+    violated, route_ev = check_route(graph, packet)
+    if violated:
+        findings.append((AlertRule.ROUTE_DEVIATION, route_ev))
+    return findings, 4
 
 
 def cluster_pipeline(
@@ -289,67 +355,25 @@ def cluster_pipeline(
     smac = engine.smac[cell]
     latency = engine.config.radio.per_hop_latency_us
     alerts: list[Alert] = []
-    evals = 0
-
-    def mk(rule: AlertRule, suspect: str, evidence: dict, pid: int | None = None) -> Alert:
-        return Alert(
-            rule=rule,
-            layer=LAYER_OF_RULE[rule],
-            suspect=suspect,
-            detected_by=cluster_id,
-            detected_at=now,
-            window=window,
-            hop_trail=[cluster_id],
-            evidence=evidence,
-            packet_id=pid,
-        )
 
     fired, evidence = detect_jamming(stats, thresholds)
-    evals += 1
+    evals = 1
     if fired:
-        alerts.append(mk(AlertRule.JAMMING_SUSPECTED, suspect_cell(cell), evidence))
+        alerts.append(
+            _new_alert(AlertRule.JAMMING_SUSPECTED, suspect_cell(cell), cluster_id, now, window, evidence)
+        )
 
     for arrival, packet, _rssi in received:
         if packet.kind not in DATA_KINDS:
             continue
         t_tx = arrival - latency  # claimed transmit time reconstructed from the hop latency
-        evals += 1
-        if packet.origin not in sensors:
-            alerts.append(
-                mk(
-                    AlertRule.FOREIGN_ORIGIN,
-                    suspect_node(packet.origin),
-                    {"t_tx": t_tx, "cell": suspect_cell(cell)},
-                    packet.packet_id,
-                )
-            )
-            continue
-        evals += 1
-        if is_slot_violation(tdma, packet.origin, t_tx):
-            alerts.append(
-                mk(
-                    AlertRule.SLOT_VIOLATION,
-                    suspect_node(packet.origin),
-                    {"t_tx": t_tx, "slot_owner": slot_owner_at(tdma, t_tx)},
-                    packet.packet_id,
-                )
-            )
-        evals += 1
-        if is_sleep_violation(smac, t_tx):
-            alerts.append(
-                mk(
-                    AlertRule.SLEEP_VIOLATION,
-                    suspect_node(packet.origin),
-                    {"t_tx": t_tx},
-                    packet.packet_id,
-                )
-            )
-        evals += 1
-        violated, route_ev = check_route(graph, packet)
-        if violated:
-            alerts.append(
-                mk(AlertRule.ROUTE_DEVIATION, suspect_node(packet.origin), route_ev, packet.packet_id)
-            )
+        findings, n = evaluate_data_packet(packet, t_tx, sensors, tdma, smac, graph, cell)
+        evals += n
+        suspect = suspect_node(packet.origin)
+        alerts.extend(
+            _new_alert(rule, suspect, cluster_id, now, window, ev, packet.packet_id)
+            for rule, ev in findings
+        )
 
     # package phase: drop duplicates within the window
     seen: set[tuple] = set()
@@ -398,32 +422,29 @@ def watchdog_check(
     alerts: list[Alert] = []
     timeout = thresholds.heartbeat_timeout_windows
     silent_windows = window - last_seen_window
+    suspect = suspect_node(monitored_id)
     if silent_windows >= timeout:
         alerts.append(
-            Alert(
-                rule=AlertRule.MISSED_HEARTBEAT,
-                layer=LAYER_OF_RULE[AlertRule.MISSED_HEARTBEAT],
-                suspect=suspect_node(monitored_id),
-                detected_by=monitor_id,
-                detected_at=now,
-                window=window,
-                hop_trail=[monitor_id],
-                evidence={"silent_windows": silent_windows, "last_seen_window": last_seen_window},
+            _new_alert(
+                AlertRule.MISSED_HEARTBEAT,
+                suspect,
+                monitor_id,
+                now,
+                window,
+                {"silent_windows": silent_windows, "last_seen_window": last_seen_window},
             )
         )
     if suppression_evidence is not None and len(suppression_evidence) >= timeout:
         recent = suppression_evidence[-timeout:]
         if all(e["anomalous"] and e["reported_zero"] for e in recent):
             alerts.append(
-                Alert(
-                    rule=AlertRule.SUPPRESSED_ALERTS,
-                    layer=LAYER_OF_RULE[AlertRule.SUPPRESSED_ALERTS],
-                    suspect=suspect_node(monitored_id),
-                    detected_by=monitor_id,
-                    detected_at=now,
-                    window=window,
-                    hop_trail=[monitor_id],
-                    evidence={"windows": [e.get("window") for e in recent], "lookback": recent},
+                _new_alert(
+                    AlertRule.SUPPRESSED_ALERTS,
+                    suspect,
+                    monitor_id,
+                    now,
+                    window,
+                    {"windows": [e.get("window") for e in recent], "lookback": recent},
                 )
             )
     return alerts
@@ -439,8 +460,55 @@ def aggregate_alarm_counts(alerts: Iterable[Alert]) -> dict[str, dict[str, int]]
 
 
 # ============================================================================
-# The hierarchical monitor layer driving the engine hooks
+# The monitor layers driving the engine hooks
 # ============================================================================
+
+
+def _trace_finding(eng: Engine, alert: Alert, event_kind: str) -> None:
+    """Trace one finding: event_kind is 'alert' (hod) or 'anomaly' (flat)."""
+    eng.log.events.append(
+        TraceEvent(
+            time_us=eng.now,
+            event_kind=event_kind,
+            src=alert.detected_by,
+            dst=None,
+            cell=eng.topology.node(alert.detected_by).cell,
+            outcome=alert.rule.value,
+            rssi_dbm=None,
+            energy_uj=0.0,
+            packet_id=alert.packet_id,
+            pkt_kind=alert.suspect,
+        )
+    )
+
+
+def _send_control(
+    eng: Engine,
+    src: int,
+    dst: int,
+    kind: PacketKind,
+    payload: dict,
+    long_range: bool = False,
+    mac_exempt: bool = False,
+) -> int:
+    """Send one IDS control-plane message now; returns its packet id."""
+    pid = eng.next_packet_id()
+    eng.send(
+        Packet(
+            packet_id=pid,
+            kind=kind,
+            src=src,
+            origin=src,
+            dst=dst,
+            created_at=eng.now,
+            size_bits=eng.config.energy.packet_size_bits,
+            payload=payload,
+            control=True,
+            long_range=long_range,
+            mac_exempt=mac_exempt,
+        )
+    )
+    return pid
 
 
 @dataclass
@@ -493,49 +561,11 @@ class HodMonitors:
             self._regional_step(topo.regional_by_region[rid], rid, window)
         self._base_step(window)
 
-    def on_run_end(self, engine: Engine) -> None:
-        pass
-
     # ---------------------------------------------------------------- cluster
 
     def _log_alert(self, alert: Alert) -> None:
-        eng = self.engine
-        eng.log.alerts.append(alert)
-        eng.log.events.append(
-            TraceEvent(
-                time_us=eng.now,
-                event_kind="alert",
-                src=alert.detected_by,
-                dst=None,
-                cell=eng.topology.node(alert.detected_by).cell,
-                outcome=alert.rule.value,
-                rssi_dbm=None,
-                energy_uj=0.0,
-                packet_id=alert.packet_id,
-                pkt_kind=alert.suspect,
-            )
-        )
-
-    def _send_control(
-        self, src: int, dst: int, kind: PacketKind, payload: dict, long_range: bool = False
-    ) -> int:
-        eng = self.engine
-        pid = eng.next_packet_id()
-        eng.send(
-            Packet(
-                packet_id=pid,
-                kind=kind,
-                src=src,
-                origin=src,
-                dst=dst,
-                created_at=eng.now,
-                size_bits=eng.config.energy.packet_size_bits,
-                payload=payload,
-                control=True,
-                long_range=long_range,
-            )
-        )
-        return pid
+        self.engine.log.alerts.append(alert)
+        _trace_finding(self.engine, alert, "alert")
 
     def _cluster_step(self, cluster: int, cell: HexCoord, window: int) -> None:
         eng = self.engine
@@ -579,9 +609,10 @@ class HodMonitors:
         regional = eng.topology.regional_of_cell(cell)
         remaining: list[_OutboxEntry] = []
         for entry in self.cluster_outbox[cluster]:
-            if entry.last_packet_id is not None and entry.last_packet_id in eng.log.delivered_packet_ids:
+            if entry.last_packet_id is not None and entry.last_packet_id in eng.log.delivered_to:
                 continue  # acknowledged by delivery; drop from the outbox
-            entry.last_packet_id = self._send_control(
+            entry.last_packet_id = _send_control(
+                eng,
                 cluster,
                 regional,
                 PacketKind.REGIONAL_ALARM,
@@ -589,7 +620,7 @@ class HodMonitors:
             )
             remaining.append(entry)
         self.cluster_outbox[cluster] = remaining
-        self._send_control(cluster, regional, PacketKind.HEARTBEAT, {"window": window})
+        _send_control(eng, cluster, regional, PacketKind.HEARTBEAT, {"window": window})
 
     # --------------------------------------------------------------- regional
 
@@ -666,22 +697,23 @@ class HodMonitors:
         base = topo.base_id
         for alert in incoming:
             alert.hop_trail.append(regional)
-            self._send_control(
-                regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert_to_dict(alert)}, long_range=True
+            _send_control(
+                eng, regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert_to_dict(alert)}, long_range=True
             )
         for alert in own:
-            self._send_control(
-                regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert_to_dict(alert)}, long_range=True
+            _send_control(
+                eng, regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert_to_dict(alert)}, long_range=True
             )
         counts = aggregate_alarm_counts(incoming + own)
-        self._send_control(
+        _send_control(
+            eng,
             regional,
             base,
             PacketKind.REGIONAL_ALARM,
             {"window": window, "counts": counts},
             long_range=True,
         )
-        self._send_control(regional, base, PacketKind.HEARTBEAT, {"window": window}, long_range=True)
+        _send_control(eng, regional, base, PacketKind.HEARTBEAT, {"window": window}, long_range=True)
 
     # ------------------------------------------------------------------- base
 
@@ -721,6 +753,74 @@ class HodMonitors:
                         BaseAlertRecord(alert=alert, base_arrival_us=eng.now)
                     )
         eng.charge_rule_evals(base, evals)
+
+
+class FlatMonitors:
+    """Per-sensor standalone IDS: local rules plus neighborhood gossip."""
+
+    wants_overhear = True
+
+    def __init__(self, engine: Engine, thresholds: DetectorThresholds) -> None:
+        self.engine = engine
+        self.thresholds = thresholds.resolved(engine.config.radio)
+        self.graph = ConnectivityGraph(engine.topology, engine.config.radio.short_range_m)
+        topo = engine.topology
+        self.neighbors: dict[int, list[int]] = {}
+        for s in topo.sensor_ids():
+            self.neighbors[s] = [
+                v for v in self.graph.adj[s] if topo.role(v) is NodeRole.SENSOR
+            ]
+        self.cell_members: dict[int, set[int]] = {
+            s: set(topo.sensors_of(topo.node(s).cell)) for s in topo.sensor_ids()
+        }
+        engine.monitors = self
+
+    def on_window_end(self, engine: Engine, window: int) -> None:
+        topo = engine.topology
+        now = engine.now
+        latency = engine.config.radio.per_hop_latency_us
+        for sensor in topo.sensor_ids():
+            cell = topo.node(sensor).cell
+            cluster = topo.cluster_of(cell)
+            found: list[Alert] = []
+
+            fired, evidence = detect_jamming(engine.current_window_stats[cell], self.thresholds)
+            evals = 1
+            if fired:
+                found.append(
+                    _new_alert(AlertRule.JAMMING_SUSPECTED, suspect_cell(cell), sensor, now, window, evidence)
+                )
+
+            # only the data addressed to the sensor's own cluster, as that cluster would see it
+            for t, packet in engine.overheard.get(sensor, ()):
+                if packet.dst != cluster or packet.kind not in DATA_KINDS:
+                    continue
+                findings, n = evaluate_data_packet(
+                    packet,
+                    t - latency,
+                    self.cell_members[sensor],
+                    engine.tdma[cell],
+                    engine.smac[cell],
+                    self.graph,
+                    cell,
+                )
+                evals += n
+                suspect = suspect_node(packet.origin)
+                found.extend(
+                    _new_alert(rule, suspect, sensor, now, window, ev, packet.packet_id)
+                    for rule, ev in findings
+                )
+
+            for a in found:
+                engine.log.flat_anomalies.append(a)
+                _trace_finding(engine, a, "anomaly")
+            engine.charge_rule_evals(sensor, evals)
+            for peer in self.neighbors[sensor]:
+                _send_control(engine, sensor, peer, PacketKind.HEARTBEAT, {"window": window}, mac_exempt=True)
+            for a in found:
+                notice = {"anomaly": {"rule": a.rule.value, "suspect": a.suspect, "window": a.window}}
+                for peer in self.neighbors[sensor]:
+                    _send_control(engine, sensor, peer, PacketKind.REGIONAL_ALARM, notice, mac_exempt=True)
 
 
 # ============================================================================
@@ -793,13 +893,22 @@ def _scope_of(alert: Alert, topology: Topology) -> str:
     return node.role.value
 
 
-def base_station_report(run_log: RunLog, topology: Topology) -> SummaryReport:
-    """Compile the per-cell tallies, latency timeline, and compromise list."""
+def base_station_report(
+    run_log: RunLog,
+    topology: Topology,
+    thresholds: DetectorThresholds | None = None,
+) -> SummaryReport:
+    """Compile the per-cell tallies, latency timeline, and compromise list.
+
+    Latencies come from the same ground-truth matching that score() uses, so
+    thresholds must be the run's own (the defaults when None).
+    """
+    th = thresholds or DetectorThresholds()
     pairs, _unmatched = match_alerts(
         run_log.ground_truth,
         run_log.base_received,
         run_log.window_us,
-        DetectorThresholds().match_window_count,
+        th.match_window_count,
     )
     latency_by_record = {
         ri: run_log.base_received[ri].base_arrival_us - run_log.ground_truth[gi].time_us

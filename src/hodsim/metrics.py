@@ -1,4 +1,4 @@
-"""Scoring, the flat per-sensor baseline, and the two-mode comparison.
+"""Scoring, the two-mode comparison, and the scenario runner.
 
 Scoring works from the run log alone: ground-truth events are matched to the
 alerts that reached the base station (hierarchical mode) or to deduplicated
@@ -6,198 +6,32 @@ local anomaly records (flat mode).  Detection rate is reported twice — over
 all injected events, and over the subset whose offending packet actually
 reached a cluster node, which isolates detector quality from radio loss.
 
-The flat baseline keeps the identical data plane and radio but removes the
-hierarchy: every sensor promiscuously overhears its neighborhood, runs the
-full rule set locally, and gossips per-window state and anomaly notices to
-each in-range peer.  Those exchanges ride the always-on control plane (exempt
-from the data-plane duty cycle), which is exactly the per-node overhead the
-hierarchical overlay is designed to avoid.
+Both monitor layers, and the rules they share, live in detection.py.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from .attacks import apply_attacks
 from .config import ScenarioConfig
-from .mac import is_sleep_violation, is_slot_violation
 from .detection import (
     Alert,
     AlertRule,
     BaseAlertRecord,
-    ConnectivityGraph,
     DetectorThresholds,
+    FlatMonitors,
     HodMonitors,
-    LAYER_OF_RULE,
     RULES_FOR_KIND,
-    detect_jamming,
     match_alerts,
-    suspect_cell,
-    suspect_node,
 )
-from .simcore import (
-    Engine,
-    Outcome,
-    Packet,
-    PacketKind,
-    RunLog,
-    TraceEvent,
-)
+from .simcore import Engine, RunLog
 from .topology import NodeRole, Topology, build_topology
 
 ATTACK_KINDS = tuple(RULES_FOR_KIND)  # canonical column order
-
-
-# ============================================================================
-# Flat (non-hierarchical) baseline monitors
-# ============================================================================
-
-_FLAT_DATA_KINDS = (PacketKind.SENSOR_DATA, PacketKind.ATTACK_TRAFFIC)
-
-
-class FlatMonitors:
-    """Per-sensor standalone IDS: local rules plus neighborhood gossip."""
-
-    wants_overhear = True
-
-    def __init__(self, engine: Engine, thresholds: DetectorThresholds) -> None:
-        self.engine = engine
-        self.thresholds = thresholds.resolved(engine.config.radio)
-        self.graph = ConnectivityGraph(engine.topology, engine.config.radio.short_range_m)
-        topo = engine.topology
-        self.neighbors: dict[int, list[int]] = {}
-        for s in topo.sensor_ids():
-            self.neighbors[s] = [
-                v for v in self.graph.adj[s] if topo.role(v) is NodeRole.SENSOR
-            ]
-        self.cell_members: dict[int, set[int]] = {
-            s: set(topo.sensors_of(topo.node(s).cell)) for s in topo.sensor_ids()
-        }
-        engine.monitors = self
-
-    def _gossip(self, src: int, dst: int, kind: PacketKind, payload: dict) -> None:
-        eng = self.engine
-        eng.send(
-            Packet(
-                packet_id=eng.next_packet_id(),
-                kind=kind,
-                src=src,
-                origin=src,
-                dst=dst,
-                created_at=eng.now,
-                size_bits=eng.config.energy.packet_size_bits,
-                payload=payload,
-                control=True,
-                mac_exempt=True,
-            )
-        )
-
-    def _record(self, sensor: int, window: int, rule: AlertRule, suspect: str,
-                packet_id: int | None, evidence: dict) -> dict:
-        eng = self.engine
-        rec = {
-            "window": window,
-            "rule": rule.value,
-            "suspect": suspect,
-            "packet_id": packet_id,
-            "detected_by": sensor,
-            "detected_at": eng.now,
-            "evidence": evidence,
-        }
-        eng.log.flat_anomalies.append(rec)
-        eng.log.events.append(
-            TraceEvent(
-                time_us=eng.now,
-                event_kind="anomaly",
-                src=sensor,
-                dst=None,
-                cell=eng.topology.node(sensor).cell,
-                outcome=rule.value,
-                rssi_dbm=None,
-                energy_uj=0.0,
-                packet_id=packet_id,
-                pkt_kind=suspect,
-            )
-        )
-        return rec
-
-    def on_window_end(self, engine: Engine, window: int) -> None:
-        topo = engine.topology
-        latency = engine.config.radio.per_hop_latency_us
-        for sensor in topo.sensor_ids():
-            node = topo.node(sensor)
-            cell = node.cell
-            cluster = topo.cluster_of(cell)
-            tdma = engine.tdma[cell]
-            smac = engine.smac[cell]
-            members = self.cell_members[sensor]
-            evals = 0
-            found: list[dict] = []
-
-            stats = engine.current_window_stats[cell]
-            evals += 1
-            fired, ev = detect_jamming(stats, self.thresholds)
-            if fired:
-                found.append(
-                    self._record(sensor, window, AlertRule.JAMMING_SUSPECTED,
-                                 suspect_cell(cell), None, ev)
-                )
-
-            for t, packet in engine.overheard.get(sensor, ()):
-                if packet.dst != cluster or packet.kind not in _FLAT_DATA_KINDS:
-                    continue
-                t_tx = t - latency
-                evals += 1
-                if packet.origin not in members:
-                    found.append(
-                        self._record(sensor, window, AlertRule.FOREIGN_ORIGIN,
-                                     suspect_node(packet.origin), packet.packet_id,
-                                     {"t_tx": t_tx})
-                    )
-                    continue
-                evals += 1
-                if is_slot_violation(tdma, packet.origin, t_tx):
-                    found.append(
-                        self._record(sensor, window, AlertRule.SLOT_VIOLATION,
-                                     suspect_node(packet.origin), packet.packet_id,
-                                     {"t_tx": t_tx})
-                    )
-                evals += 1
-                if is_sleep_violation(smac, t_tx):
-                    found.append(
-                        self._record(sensor, window, AlertRule.SLEEP_VIOLATION,
-                                     suspect_node(packet.origin), packet.packet_id,
-                                     {"t_tx": t_tx})
-                    )
-                evals += 1
-                observed = [packet.origin] + list(packet.path_so_far)
-                if not observed or observed[-1] != packet.dst:
-                    observed.append(packet.dst)
-                expected = self.graph.expected_route(packet.origin, packet.dst)
-                if expected is not None and observed != expected:
-                    found.append(
-                        self._record(sensor, window, AlertRule.ROUTE_DEVIATION,
-                                     suspect_node(packet.origin), packet.packet_id,
-                                     {"observed_path": observed, "expected_path": expected})
-                    )
-
-            engine.charge_rule_evals(sensor, evals)
-            for peer in self.neighbors[sensor]:
-                self._gossip(sensor, peer, PacketKind.HEARTBEAT, {"window": window})
-            for rec in found:
-                for peer in self.neighbors[sensor]:
-                    self._gossip(
-                        sensor,
-                        peer,
-                        PacketKind.REGIONAL_ALARM,
-                        {"anomaly": {k: rec[k] for k in ("rule", "suspect", "window")}},
-                    )
-
-    def on_run_end(self, engine: Engine) -> None:
-        pass
 
 
 # ============================================================================
@@ -257,50 +91,16 @@ class Metrics:
 
 def _flat_records(run_log: RunLog) -> list[BaseAlertRecord]:
     """Collapse per-sensor anomaly records to one per distinct finding."""
-    best: dict[tuple, dict] = {}
-    for rec in run_log.flat_anomalies:
-        key = (rec["rule"], rec["suspect"], rec["window"], rec["packet_id"])
+    best: dict[tuple, Alert] = {}
+    for a in run_log.flat_anomalies:
+        key = a.dedup_key()
         cur = best.get(key)
-        if cur is None or (rec["detected_at"], rec["detected_by"]) < (
-            cur["detected_at"], cur["detected_by"]
-        ):
-            best[key] = rec
-    out = []
-    for key in sorted(best, key=lambda k: (best[k]["detected_at"], str(k))):
-        rec = best[key]
-        rule = AlertRule(rec["rule"])
-        out.append(
-            BaseAlertRecord(
-                alert=Alert(
-                    rule=rule,
-                    layer=LAYER_OF_RULE[rule],
-                    suspect=rec["suspect"],
-                    detected_by=rec["detected_by"],
-                    detected_at=rec["detected_at"],
-                    window=rec["window"],
-                    hop_trail=[rec["detected_by"]],
-                    evidence=rec.get("evidence", {}),
-                    packet_id=rec["packet_id"],
-                ),
-                base_arrival_us=rec["detected_at"],
-            )
-        )
-    return out
-
-
-def delivered_to_cluster_ids(run_log: RunLog, topology: Topology) -> set[int]:
-    """Packet ids that completed delivery to a cluster node."""
-    out: set[int] = set()
-    for e in run_log.events:
-        if (
-            e.event_kind == "rx"
-            and e.outcome == Outcome.DELIVERED.value
-            and e.dst is not None
-            and e.packet_id is not None
-            and topology.role(e.dst) is NodeRole.CLUSTER
-        ):
-            out.add(e.packet_id)
-    return out
+        if cur is None or (a.detected_at, a.detected_by) < (cur.detected_at, cur.detected_by):
+            best[key] = a
+    return [
+        BaseAlertRecord(alert=best[key], base_arrival_us=best[key].detected_at)
+        for key in sorted(best, key=lambda k: (best[k].detected_at, str(k)))
+    ]
 
 
 def score(
@@ -313,7 +113,10 @@ def score(
     pairs, unmatched = match_alerts(
         run_log.ground_truth, records, run_log.window_us, th.match_window_count
     )
-    delivered_ids = delivered_to_cluster_ids(run_log, topology)
+    delivered_ids = {
+        pid for pid, receiver in run_log.delivered_to.items()
+        if topology.role(receiver) is NodeRole.CLUSTER
+    }
 
     gt_total: dict[str, int] = {}
     gt_delivered: dict[str, int] = {}
@@ -351,9 +154,10 @@ def score(
 
     tally_counters = sum(c.control_sent for c in run_log.counters.values())
     tally_trace = sum(1 for e in run_log.events if e.event_kind == "tx" and e.control)
-    assert tally_counters == tally_trace, (
-        f"control-message ledgers disagree: counters={tally_counters} trace={tally_trace}"
-    )
+    if tally_counters != tally_trace:
+        raise AssertionError(
+            f"control-message ledgers disagree: counters={tally_counters} trace={tally_trace}"
+        )
     total_messages = sum(c.total_sent() for c in run_log.counters.values())
 
     by_role: dict[str, list[float]] = {}

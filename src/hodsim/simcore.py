@@ -131,6 +131,10 @@ class PacketKind(enum.Enum):
     ATTACK_TRAFFIC = "AttackTraffic"
 
 
+# data-plane kinds: what the detection rules inspect and the flat baseline overhears
+DATA_KINDS = (PacketKind.SENSOR_DATA, PacketKind.ATTACK_TRAFFIC)
+
+
 class Outcome(enum.Enum):
     DELIVERED = "Delivered"
     OUT_OF_RANGE = "Dropped(OutOfRange)"
@@ -217,11 +221,11 @@ class RunLog:
     alerts: list[Any] = field(default_factory=list)  # detection.Alert, generation order
     base_received: list[Any] = field(default_factory=list)  # detection.BaseAlertRecord
     aggregated_alarms: list[dict[str, Any]] = field(default_factory=list)
-    flat_anomalies: list[dict[str, Any]] = field(default_factory=list)
+    flat_anomalies: list[Any] = field(default_factory=list)  # detection.Alert, flat mode
     window_stats: list[ChannelWindowStats] = field(default_factory=list)
     meters: dict[int, EnergyMeter] = field(default_factory=dict)
     counters: dict[int, MessageCounters] = field(default_factory=dict)
-    delivered_packet_ids: set[int] = field(default_factory=set)
+    delivered_to: dict[int, int] = field(default_factory=dict)  # packet id -> last receiver
 
 
 # ============================================================================
@@ -427,35 +431,28 @@ class Engine:
 
     # ----------------------------------------------------------------- energy
 
-    def _charge(self, node_id: int, component: str, joules: float, log_event: bool = False) -> None:
-        meter = self.log.meters[node_id]
-        if component == "tx":
-            meter.tx_j += joules
-        elif component == "rx":
-            meter.rx_j += joules
-        elif component == "idle":
-            meter.idle_j += joules
-        else:
-            meter.rule_eval_j += joules
-        if log_event:
-            self.log.events.append(
-                TraceEvent(
-                    time_us=self.now,
-                    event_kind=component,
-                    src=node_id,
-                    dst=None,
-                    cell=self.topology.node(node_id).cell,
-                    outcome="",
-                    rssi_dbm=None,
-                    energy_uj=joules * 1e6,
-                )
+    def _log_charge(self, node_id: int, event_kind: str, joules: float) -> None:
+        """Trace a charge that no packet event carries (idle, rule_eval)."""
+        self.log.events.append(
+            TraceEvent(
+                time_us=self.now,
+                event_kind=event_kind,
+                src=node_id,
+                dst=None,
+                cell=self.topology.node(node_id).cell,
+                outcome="",
+                rssi_dbm=None,
+                energy_uj=joules * 1e6,
             )
+        )
 
     def charge_rule_evals(self, node_id: int, count: int) -> None:
         """Fixed per-rule-evaluation cost on the evaluating node."""
         if count <= 0:
             return
-        self._charge(node_id, "rule_eval", self.config.energy.rule_eval_j * count, log_event=True)
+        joules = self.config.energy.rule_eval_j * count
+        self.log.meters[node_id].rule_eval_j += joules
+        self._log_charge(node_id, "rule_eval", joules)
 
     # ------------------------------------------------------------------- send
 
@@ -474,9 +471,10 @@ class Engine:
                 return False
             if src_node.role is NodeRole.SENSOR and not packet.mac_exempt:
                 # compliant sensors only transmit inside their wake window
-                assert is_awake(self.smac[src_node.cell], self.now), (
-                    f"sensor {packet.src} transmitting outside wake window at {self.now}"
-                )
+                if not is_awake(self.smac[src_node.cell], self.now):
+                    raise AssertionError(
+                        f"sensor {packet.src} transmitting outside wake window at {self.now}"
+                    )
         tx_pos = packet.phantom_pos if packet.phantom_pos is not None else (src_node.x, src_node.y)
         dst_node = self.topology.node(packet.dst)
         distance = math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y)
@@ -484,7 +482,7 @@ class Engine:
         cell = src_node.cell if src_node is not None else None
         if src_node is not None:
             energy = self.config.energy.tx_energy_j(packet.size_bits, distance)
-            self._charge(packet.src, "tx", energy)
+            self.log.meters[packet.src].tx_j += energy
             counters = self.log.counters[packet.src]
             counters.sent[packet.kind.value] = counters.sent.get(packet.kind.value, 0) + 1
             if packet.control:
@@ -602,12 +600,13 @@ class Engine:
     ) -> None:
         packet.path_so_far.append(packet.dst)
         dst = packet.dst
-        self._charge(dst, "rx", self.config.energy.rx_energy_j(packet.size_bits))
+        rx_j = self.config.energy.rx_energy_j(packet.size_bits)
+        self.log.meters[dst].rx_j += rx_j
         counters = self.log.counters[dst]
         counters.received[packet.kind.value] = counters.received.get(packet.kind.value, 0) + 1
         if counted and cell_of_tx is not None and not packet.long_range:
             self._cell_delivered[cell_of_tx] += 1
-        self.log.delivered_packet_ids.add(packet.packet_id)
+        self.log.delivered_to[packet.packet_id] = dst
         self.log.events.append(
             TraceEvent(
                 time_us=self.now,
@@ -617,7 +616,7 @@ class Engine:
                 cell=cell_of_tx,
                 outcome=Outcome.DELIVERED.value,
                 rssi_dbm=rssi,
-                energy_uj=self.config.energy.rx_energy_j(packet.size_bits) * 1e6,
+                energy_uj=rx_j * 1e6,
                 packet_id=packet.packet_id,
                 pkt_kind=packet.kind.value,
             )
@@ -654,9 +653,10 @@ class Engine:
         if not self.overheard:
             return
         packet = pending.packet
-        if packet.kind not in (PacketKind.SENSOR_DATA, PacketKind.ATTACK_TRAFFIC):
+        if packet.kind not in DATA_KINDS:
             return
         radio = self.config.radio
+        rx_j = self.config.energy.rx_energy_j(packet.size_bits)
         if packet.phantom_pos is not None:
             tx_pos = packet.phantom_pos
             true_src = None
@@ -675,7 +675,7 @@ class Engine:
             interference = self.interference_dbm_at(node.x, node.y, pending.start_us, pending.end_us)
             if det - interference < radio.sinr_threshold_db:
                 continue
-            self._charge(sensor_id, "rx", self.config.energy.rx_energy_j(packet.size_bits))
+            self.log.meters[sensor_id].rx_j += rx_j
             self.log.events.append(
                 TraceEvent(
                     time_us=self.now,
@@ -685,7 +685,7 @@ class Engine:
                     cell=node.cell,
                     outcome="Overheard",
                     rssi_dbm=det,
-                    energy_uj=self.config.energy.rx_energy_j(packet.size_bits) * 1e6,
+                    energy_uj=rx_j * 1e6,
                     packet_id=packet.packet_id,
                     pkt_kind=packet.kind.value,
                 )
@@ -731,7 +731,8 @@ class Engine:
         idle = self.config.energy.idle_j_per_window
         if idle > 0.0:
             for n in self.topology.nodes:
-                self._charge(n.node_id, "idle", idle, log_event=True)
+                self.log.meters[n.node_id].idle_j += idle
+                self._log_charge(n.node_id, "idle", idle)
         if self.monitors is not None:
             self.monitors.on_window_end(self, window)
         if self.mode == "hod":
@@ -844,9 +845,8 @@ class Engine:
             if t_next is None or t_next > t_end:
                 break
             t, _, action = self.queue.pop()
-            assert t >= self.now, "event queue went backwards"
+            if t < self.now:
+                raise AssertionError("event queue went backwards")
             self.now = t
             action()
-        if self.monitors is not None:
-            self.monitors.on_run_end(self)
         return self.log

@@ -1,5 +1,8 @@
 """CLI behavior: outputs, formats, exit codes, and failure cleanup."""
 
+import csv
+import io
+
 import pytest
 
 from hodsim.cli import main
@@ -156,6 +159,48 @@ class TestExitCodes:
         # the trace and summary written before the failure were cleaned up
         assert not (out / "trace_hod_3.csv").exists()
         assert not (out / "summary_hod_3.txt").exists()
+
+
+COMPROMISE_SCENARIO = """\
+topology:
+  rings: 1
+  sensors_per_cell: 2
+sim:
+  horizon_windows: 7
+detect:
+  match_window_count: {window_count}
+attacks:
+  - kind: NodeCompromise
+    start_us: 2500000
+    end_us: 7000000
+    cell: [0, 1]
+    target_role: cluster
+    compromise_mode: FalseData
+  - kind: Jamming
+    start_us: 2000000
+    end_us: 7000000
+    cell: [0, 1]
+    power_dbm: 10.0
+"""
+
+
+class TestSummaryAgreesWithMetrics:
+    # the compromised head is named 1.5 windows after onset: inside a
+    # three-window match span, outside a one-window span
+    @pytest.mark.parametrize("window_count,want_detected", [(1, 0), (3, 1)])
+    def test_summary_uses_the_scenario_match_window(self, tmp_path, window_count, want_detected):
+        p = tmp_path / "compromise.yaml"
+        p.write_text(COMPROMISE_SCENARIO.format(window_count=window_count), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(str(p), out, "--mode", "hod", "--seed", "3") == 0
+        (row,) = csv.DictReader(io.StringIO((out / "metrics_hod.csv").read_text()))
+        detected = sum(int(v) for k, v in row.items() if k.startswith("detected_"))
+        assert detected == want_detected
+        summary = (out / "summary_hod_3.txt").read_text()
+        timeline = summary.split("alert timeline:\n", 1)[1].split("\n\n", 1)[0]
+        # columns: detected_at layer rule suspect by base_arrival [latency_us] hop_trail
+        with_latency = [r for r in timeline.splitlines()[1:] if len(r.split()) == 8]
+        assert len(with_latency) == detected
 
 
 class TestDeterminism:

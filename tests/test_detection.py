@@ -172,19 +172,22 @@ class TestCheckRoute:
         graph = ConnectivityGraph(topo, 75.0)
         s = topo.sensors_of(CELL)[0]
         c = topo.cluster_of(CELL)
-        violated, ev = check_route(graph, self.packet(s, c, [c]))
-        assert not violated
-        assert ev["observed_path"] == ev["expected_path"] == [s, c]
+        # the second path was overheard but never delivered: dst completes it
+        for path in ([c], []):
+            violated, ev = check_route(graph, self.packet(s, c, path))
+            assert not violated
+            assert ev["observed_path"] == ev["expected_path"] == [s, c]
 
     def test_detour_flagged(self):
         topo = make_engine(sensors_per_cell=2).topology
         graph = ConnectivityGraph(topo, 75.0)
         s0, s1 = topo.sensors_of(CELL)
         c = topo.cluster_of(CELL)
-        violated, ev = check_route(graph, self.packet(s0, c, [s1, c]))
-        assert violated
-        assert ev["observed_path"] == [s0, s1, c]
-        assert ev["expected_path"] == [s0, c]
+        for path in ([s1, c], [s1]):  # delivered, and overheard but undelivered
+            violated, ev = check_route(graph, self.packet(s0, c, path))
+            assert violated
+            assert ev["observed_path"] == [s0, s1, c]
+            assert ev["expected_path"] == [s0, c]
 
     def test_unroutable_pair_is_not_a_violation(self):
         topo = make_engine(sensors_per_cell=2).topology

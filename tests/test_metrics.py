@@ -8,12 +8,10 @@ import pytest
 from conftest import make_engine
 from hodsim.attacks import AttackKind, AttackSpec, apply_attacks
 from hodsim.config import ScenarioConfig
-from hodsim.detection import Alert, AlertRule, BaseAlertRecord, DetectorThresholds
+from hodsim.detection import Alert, AlertRule, BaseAlertRecord, DetectorThresholds, FlatMonitors
 from hodsim.metrics import (
-    FlatMonitors,
     _flat_records,
     compare,
-    delivered_to_cluster_ids,
     rows_to_csv,
     run_scenario,
     score,
@@ -109,6 +107,7 @@ class TestScoreSynthetic:
         ]
         # only packet 1 ever reached a cluster node
         log.events.append(rx_event(102_000, victim, cluster, 1))
+        log.delivered_to[1] = cluster
         log.base_received = [
             base_record(AlertRule.SLOT_VIOLATION, suspect, W, pid=1, arrival=2 * W + 2000),
             # an unmatched extra: a jamming alert nobody injected
@@ -168,25 +167,29 @@ class TestScoreSynthetic:
 
     def test_delivered_ids_scan(self):
         topo, log, victim, cluster = self.build()
-        assert delivered_to_cluster_ids(log, topo) == {1}
-        # an rx at a non-cluster node does not count
-        log.events.append(rx_event(5000, victim, topo.base_id, 9))
-        assert delivered_to_cluster_ids(log, topo) == {1}
+        assert score(log, topo).gt_delivered == {"SlotSpoof": 1}
+        # packet 2 last reached a non-cluster node: it does not count
+        log.delivered_to[2] = topo.base_id
+        assert score(log, topo).gt_delivered == {"SlotSpoof": 1}
+        # a detoured packet counts once its last receiver is the cluster
+        log.delivered_to[2] = cluster
+        assert score(log, topo).gt_delivered == {"SlotSpoof": 2}
 
 
 class TestFlatRecords:
     def test_dedup_keeps_earliest(self):
         topo = build_topology(rings=1, sensors_per_cell=2, cell_radius_m=50.0, seed=1)
         log = empty_log(topo, mode="flat")
-        mk = lambda by, at, window=0: {
-            "window": window,
-            "rule": "SlotViolation",
-            "suspect": "node:4",
-            "packet_id": 7,
-            "detected_by": by,
-            "detected_at": at,
-            "evidence": {},
-        }
+        mk = lambda by, at, window=0: Alert(
+            rule=AlertRule.SLOT_VIOLATION,
+            layer="link",
+            suspect="node:4",
+            detected_by=by,
+            detected_at=at,
+            window=window,
+            hop_trail=[by],
+            packet_id=7,
+        )
         log.flat_anomalies = [mk(10, 3000), mk(8, 1000), mk(9, 1000), mk(8, 1000, window=1)]
         records = _flat_records(log)
         assert len(records) == 2  # windows 0 and 1
