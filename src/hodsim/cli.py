@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ScenarioConfig
-from .detection import DetectorThresholds, base_station_report
+from .detection import base_station_report
 from .metrics import Metrics, compare, rows_to_csv, run_scenario, score
 from .simcore import RunLog
 from .topology import Topology
@@ -89,15 +89,10 @@ def _render_metrics(m: Metrics) -> list[str]:
     return lines
 
 
-def render_summary(
-    log: RunLog,
-    topology: Topology,
-    metrics: Metrics,
-    thresholds: DetectorThresholds | None = None,
-) -> str:
+def render_summary(log: RunLog, topology: Topology, metrics: Metrics) -> str:
     out = [_header(log)]
     if log.mode == "hod":
-        report = base_station_report(log, topology, thresholds)
+        report = base_station_report(log, topology, metrics.matched)
         out.append(f"alerts received at base station: {report.total_alerts}")
         out.append("")
         out.append("per-scope alert tally:")
@@ -162,10 +157,12 @@ def _parse_seeds(args: argparse.Namespace, scenario: ScenarioConfig) -> list[int
     if args.seed is not None and args.seeds is not None:
         raise ConfigError("give either --seed or --seeds, not both")
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return [args.seed]
     if args.seeds is not None:
         lo, sep, hi = args.seeds.partition("..")
-        if not sep or not lo.isdigit() or not hi.isdigit():
+        if not sep or not lo.isdecimal() or not hi.isdecimal():
             raise ConfigError(f"--seeds wants the form A..B, got {args.seeds!r}")
         a, b = int(lo), int(hi)
         if b < a:
@@ -234,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
                 if want_text:
                     outputs.write(
                         f"summary_{mode}_{seed}.txt",
-                        render_summary(log, topology, m, scenario.thresholds),
+                        render_summary(log, topology, m),
                     )
                 print(
                     f"ran {mode} seed={seed}: "

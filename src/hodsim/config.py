@@ -14,6 +14,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -181,11 +182,20 @@ class ScenarioConfig:
             _parse_attack(a, f"attacks[{i}]") for i, a in enumerate(raw_attacks)
         ]
         if "seed" in data:
-            if not isinstance(data["seed"], int) or isinstance(data["seed"], bool):
-                raise ConfigError("'seed' must be an integer")
-            kwargs["seed"] = data["seed"]
+            seed = data["seed"]
+            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+                raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
+            kwargs["seed"] = seed
         if "compare_tolerance" in data:
-            kwargs["compare_tolerance"] = float(data["compare_tolerance"])
+            tol = data["compare_tolerance"]
+            if (
+                not isinstance(tol, (int, float))
+                or isinstance(tol, bool)
+                or not math.isfinite(tol)
+                or tol < 0
+            ):
+                raise ConfigError(f"'compare_tolerance' must be a finite number >= 0, got {tol!r}")
+            kwargs["compare_tolerance"] = float(tol)
         return cls(**kwargs)
 
     @classmethod

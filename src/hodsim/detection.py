@@ -12,7 +12,11 @@ upward; the base station watches the regionals and keeps the authoritative
 alert ledger.  Alerts ripple up one hop per aggregation window: cluster ->
 regional rides the normal short-range channel (lost alerts are retransmitted
 next window and deduplicated at the receiver), regional -> base uses the
-reliable long-range channel.
+reliable long-range channel.  An alarm carries the Alert itself; each node
+that receives one keeps its own copy with itself appended to the hop trail,
+so an alert is never changed once logged.  The periodic data reports (cluster
+report, regional summary) are overlay traffic too: HodMonitors sends them at
+the end of every window, after the alarm and heartbeat traffic.
 
 The layer tag on an alert names the protocol layer whose rule fired:
 phy (jamming), link (slot / sleep / foreign origin), net (route deviation),
@@ -28,6 +32,7 @@ hierarchical overlay is designed to avoid.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from collections import deque
 from dataclasses import dataclass, field
@@ -159,34 +164,6 @@ def _new_alert(
         hop_trail=[detected_by],
         evidence=evidence,
         packet_id=packet_id,
-    )
-
-
-def alert_to_dict(alert: Alert) -> dict[str, Any]:
-    return {
-        "rule": alert.rule.value,
-        "layer": alert.layer,
-        "suspect": alert.suspect,
-        "detected_by": alert.detected_by,
-        "detected_at": alert.detected_at,
-        "window": alert.window,
-        "hop_trail": list(alert.hop_trail),
-        "evidence": dict(alert.evidence),
-        "packet_id": alert.packet_id,
-    }
-
-
-def alert_from_dict(d: dict[str, Any]) -> Alert:
-    return Alert(
-        rule=AlertRule(d["rule"]),
-        layer=d["layer"],
-        suspect=d["suspect"],
-        detected_by=d["detected_by"],
-        detected_at=d["detected_at"],
-        window=d["window"],
-        hop_trail=list(d["hop_trail"]),
-        evidence=dict(d["evidence"]),
-        packet_id=d["packet_id"],
     )
 
 
@@ -482,16 +459,18 @@ def _trace_finding(eng: Engine, alert: Alert, event_kind: str) -> None:
     )
 
 
-def _send_control(
+def _send(
     eng: Engine,
     src: int,
     dst: int,
     kind: PacketKind,
     payload: dict,
+    *,
+    control: bool = True,
     long_range: bool = False,
     mac_exempt: bool = False,
 ) -> int:
-    """Send one IDS control-plane message now; returns its packet id."""
+    """Send one monitor message now (IDS control plane by default); returns its packet id."""
     pid = eng.next_packet_id()
     eng.send(
         Packet(
@@ -503,12 +482,17 @@ def _send_control(
             created_at=eng.now,
             size_bits=eng.config.energy.packet_size_bits,
             payload=payload,
-            control=True,
+            control=control,
             long_range=long_range,
             mac_exempt=mac_exempt,
         )
     )
     return pid
+
+
+def _relayed_copy(alert: Alert, node: int) -> Alert:
+    """The receiving node's own copy of a relayed alert, with itself on the hop trail."""
+    return dataclasses.replace(alert, hop_trail=[*alert.hop_trail, node])
 
 
 @dataclass
@@ -519,8 +503,6 @@ class _OutboxEntry:
 
 class HodMonitors:
     """Attaches the four-layer overlay to an engine."""
-
-    wants_overhear = False
 
     def __init__(self, engine: Engine, thresholds: DetectorThresholds) -> None:
         self.engine = engine
@@ -547,6 +529,8 @@ class HodMonitors:
         self.stats_history: dict[HexCoord, dict[int, ChannelWindowStats]] = {
             c: {} for c in topo.cells
         }
+        self.reported_alert_counts: dict[int, int] = {}  # cluster -> this window's report
+        engine.inboxes = {m: [] for m in topo.monitor_ids()}
         engine.monitors = self
 
     # ------------------------------------------------------------------ hooks
@@ -555,11 +539,13 @@ class HodMonitors:
         topo = engine.topology
         for cell, stats in engine.current_window_stats.items():
             self.stats_history[cell][window] = stats
+        self.reported_alert_counts = {}
         for cell in topo.cells:
             self._cluster_step(topo.cluster_of(cell), cell, window)
         for rid in sorted(topo.regional_by_region):
             self._regional_step(topo.regional_by_region[rid], rid, window)
         self._base_step(window)
+        self._send_data_reports(window)
 
     # ---------------------------------------------------------------- cluster
 
@@ -601,9 +587,9 @@ class HodMonitors:
         for a in alerts:
             self._log_alert(a)
         if mode is CompromiseMode.FALSE_DATA:
-            eng.window_alert_counts[cluster] = 0  # the lie: report zero, forward nothing
+            self.reported_alert_counts[cluster] = 0  # the lie: report zero, forward nothing
         else:
-            eng.window_alert_counts[cluster] = len(alerts)
+            self.reported_alert_counts[cluster] = len(alerts)
             self.cluster_outbox[cluster].extend(_OutboxEntry(a) for a in alerts)
 
         regional = eng.topology.regional_of_cell(cell)
@@ -611,16 +597,12 @@ class HodMonitors:
         for entry in self.cluster_outbox[cluster]:
             if entry.last_packet_id is not None and entry.last_packet_id in eng.log.delivered_to:
                 continue  # acknowledged by delivery; drop from the outbox
-            entry.last_packet_id = _send_control(
-                eng,
-                cluster,
-                regional,
-                PacketKind.REGIONAL_ALARM,
-                {"alert": alert_to_dict(entry.alert)},
+            entry.last_packet_id = _send(
+                eng, cluster, regional, PacketKind.REGIONAL_ALARM, {"alert": entry.alert}
             )
             remaining.append(entry)
         self.cluster_outbox[cluster] = remaining
-        _send_control(eng, cluster, regional, PacketKind.HEARTBEAT, {"window": window})
+        _send(eng, cluster, regional, PacketKind.HEARTBEAT, {"window": window})
 
     # --------------------------------------------------------------- regional
 
@@ -645,11 +627,11 @@ class HodMonitors:
                         packet.payload.get("alert_count", 0)
                     )
                 if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
-                    alert = alert_from_dict(packet.payload["alert"])
+                    alert = packet.payload["alert"]
                     key = alert.dedup_key()
                     if key not in self.regional_seen_keys[regional]:
                         self.regional_seen_keys[regional].add(key)
-                        incoming.append(alert)
+                        incoming.append(_relayed_copy(alert, regional))
 
         own: list[Alert] = []
         evals = 0
@@ -695,17 +677,11 @@ class HodMonitors:
             return  # keeps reporting (data plane) but suppresses every alert
 
         base = topo.base_id
-        for alert in incoming:
-            alert.hop_trail.append(regional)
-            _send_control(
-                eng, regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert_to_dict(alert)}, long_range=True
-            )
-        for alert in own:
-            _send_control(
-                eng, regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert_to_dict(alert)}, long_range=True
-            )
-        counts = aggregate_alarm_counts(incoming + own)
-        _send_control(
+        relayed = incoming + own
+        for alert in relayed:
+            _send(eng, regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert}, long_range=True)
+        counts = aggregate_alarm_counts(relayed)
+        _send(
             eng,
             regional,
             base,
@@ -713,7 +689,7 @@ class HodMonitors:
             {"window": window, "counts": counts},
             long_range=True,
         )
-        _send_control(eng, regional, base, PacketKind.HEARTBEAT, {"window": window}, long_range=True)
+        _send(eng, regional, base, PacketKind.HEARTBEAT, {"window": window}, long_range=True)
 
     # ------------------------------------------------------------------- base
 
@@ -727,13 +703,7 @@ class HodMonitors:
             if packet.src in self.regional_last_seen:
                 self.regional_last_seen[packet.src] = window
             if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
-                alert = alert_from_dict(packet.payload["alert"])
-                key = alert.dedup_key()
-                if key in self.base_seen_keys:
-                    continue
-                self.base_seen_keys.add(key)
-                alert.hop_trail.append(base)
-                eng.log.base_received.append(BaseAlertRecord(alert=alert, base_arrival_us=t))
+                self._base_record(_relayed_copy(packet.payload["alert"], base), t)
             elif packet.kind is PacketKind.REGIONAL_ALARM and "counts" in packet.payload:
                 eng.log.aggregated_alarms.append(
                     {"src": packet.src, "arrival_us": t, **packet.payload}
@@ -745,20 +715,40 @@ class HodMonitors:
                 topo, base, regional, window, eng.now, self.regional_last_seen[regional], self.thresholds
             ):
                 self._log_alert(alert)
-                key = alert.dedup_key()
-                if key not in self.base_seen_keys:
-                    self.base_seen_keys.add(key)
-                    alert.hop_trail.append(base)
-                    eng.log.base_received.append(
-                        BaseAlertRecord(alert=alert, base_arrival_us=eng.now)
-                    )
+                self._base_record(alert, eng.now)
         eng.charge_rule_evals(base, evals)
+
+    def _base_record(self, alert: Alert, arrival: SimTime) -> None:
+        """Enter an alert into the base's ledger unless its dedup key is already there."""
+        key = alert.dedup_key()
+        if key not in self.base_seen_keys:
+            self.base_seen_keys.add(key)
+            self.engine.log.base_received.append(BaseAlertRecord(alert=alert, base_arrival_us=arrival))
+
+    # ----------------------------------------------------------- data reports
+
+    def _send_data_reports(self, window: int) -> None:
+        """Data-plane periodic reports: cluster -> regional -> base."""
+        eng = self.engine
+        topo = eng.topology
+        for cell in topo.cells:
+            cluster = topo.cluster_of(cell)
+            payload = {"window": window, "alert_count": self.reported_alert_counts.get(cluster, 0)}
+            _send(eng, cluster, topo.regional_of_cell(cell), PacketKind.CLUSTER_REPORT, payload, control=False)
+        for rid in sorted(topo.regional_by_region):
+            _send(
+                eng,
+                topo.regional_by_region[rid],
+                topo.base_id,
+                PacketKind.REGIONAL_ALARM,
+                {"window": window},
+                control=False,
+                long_range=True,
+            )
 
 
 class FlatMonitors:
     """Per-sensor standalone IDS: local rules plus neighborhood gossip."""
-
-    wants_overhear = True
 
     def __init__(self, engine: Engine, thresholds: DetectorThresholds) -> None:
         self.engine = engine
@@ -773,6 +763,7 @@ class FlatMonitors:
         self.cell_members: dict[int, set[int]] = {
             s: set(topo.sensors_of(topo.node(s).cell)) for s in topo.sensor_ids()
         }
+        engine.overheard = {s: [] for s in topo.sensor_ids()}
         engine.monitors = self
 
     def on_window_end(self, engine: Engine, window: int) -> None:
@@ -792,7 +783,7 @@ class FlatMonitors:
                 )
 
             # only the data addressed to the sensor's own cluster, as that cluster would see it
-            for t, packet in engine.overheard.get(sensor, ()):
+            for t, packet in engine.overheard[sensor]:
                 if packet.dst != cluster or packet.kind not in DATA_KINDS:
                     continue
                 findings, n = evaluate_data_packet(
@@ -816,11 +807,11 @@ class FlatMonitors:
                 _trace_finding(engine, a, "anomaly")
             engine.charge_rule_evals(sensor, evals)
             for peer in self.neighbors[sensor]:
-                _send_control(engine, sensor, peer, PacketKind.HEARTBEAT, {"window": window}, mac_exempt=True)
+                _send(engine, sensor, peer, PacketKind.HEARTBEAT, {"window": window}, mac_exempt=True)
             for a in found:
                 notice = {"anomaly": {"rule": a.rule.value, "suspect": a.suspect, "window": a.window}}
                 for peer in self.neighbors[sensor]:
-                    _send_control(engine, sensor, peer, PacketKind.REGIONAL_ALARM, notice, mac_exempt=True)
+                    _send(engine, sensor, peer, PacketKind.REGIONAL_ALARM, notice, mac_exempt=True)
 
 
 # ============================================================================
@@ -896,20 +887,13 @@ def _scope_of(alert: Alert, topology: Topology) -> str:
 def base_station_report(
     run_log: RunLog,
     topology: Topology,
-    thresholds: DetectorThresholds | None = None,
+    pairs: dict[int, int],
 ) -> SummaryReport:
     """Compile the per-cell tallies, latency timeline, and compromise list.
 
-    Latencies come from the same ground-truth matching that score() uses, so
-    thresholds must be the run's own (the defaults when None).
+    pairs is the run's ground-truth matching, {gt_index: record_index} as
+    score() found it (Metrics.matched), so latencies agree with the metrics.
     """
-    th = thresholds or DetectorThresholds()
-    pairs, _unmatched = match_alerts(
-        run_log.ground_truth,
-        run_log.base_received,
-        run_log.window_us,
-        th.match_window_count,
-    )
     latency_by_record = {
         ri: run_log.base_received[ri].base_arrival_us - run_log.ground_truth[gi].time_us
         for gi, ri in pairs.items()

@@ -57,6 +57,7 @@ class Metrics:
     total_messages: int
     energy_mean_by_role_j: dict[str, float]
     energy_total_j: float
+    matched: dict[int, int]  # ground-truth index -> alert record index; not a CSV column
 
     def mean_latency_us(self, kind: str) -> float | None:
         vals = self.latencies_us.get(kind, [])
@@ -185,6 +186,7 @@ def score(
         total_messages=total_messages,
         energy_mean_by_role_j=energy_mean,
         energy_total_j=total_energy,
+        matched=pairs,
     )
 
 

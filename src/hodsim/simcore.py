@@ -4,7 +4,10 @@ Everything runs on an integer microsecond clock.  Events execute in strict
 (time, sequence) order from a binary heap, so identical inputs replay to
 byte-identical logs.  The engine is detection-agnostic: monitor layers (the
 hierarchical overlay or the flat per-sensor baseline) attach as a hook object
-and are invoked once per aggregation window.
+and are invoked once per aggregation window.  A monitor registers the receive
+buffers it reads (cluster and overlay inboxes, or promiscuous overhearing
+lists) and sends its own protocol traffic through Engine.send; the engine only
+fills the registered buffers and clears them after each window.
 
 Radio: log-distance path loss with optional gaussian shadowing per
 transmission.  A packet is delivered iff its sampled RSSI clears the receiver
@@ -198,7 +201,6 @@ class ChannelWindowStats:
 @dataclass
 class MessageCounters:
     sent: dict[str, int] = field(default_factory=dict)
-    received: dict[str, int] = field(default_factory=dict)
     control_sent: int = 0
 
     def total_sent(self) -> int:
@@ -333,7 +335,6 @@ class Engine:
         self.topology = topology
         self.config = config
         self.seed = seed
-        self.mode = mode
         self.now: SimTime = 0
         self.queue = EventQueue()
         self.monitors: Any = None
@@ -387,11 +388,9 @@ class Engine:
         self._cell_sent: dict[HexCoord, int] = {c: 0 for c in topology.cells}
         self._cell_delivered: dict[HexCoord, int] = {c: 0 for c in topology.cells}
         self._cell_cs_samples: dict[HexCoord, list[int]] = {c: [] for c in topology.cells}
-        self.inboxes: dict[int, list[tuple[SimTime, Packet, float | None]]] = {
-            m: [] for m in topology.monitor_ids()
-        }
+        # receive buffers, registered by the attached monitor
+        self.inboxes: dict[int, list[tuple[SimTime, Packet, float | None]]] = {}
         self.overheard: dict[int, list[tuple[SimTime, Packet]]] = {}
-        self.window_alert_counts: dict[int, int] = {}
         self.current_window_stats: dict[HexCoord, ChannelWindowStats] = {}
 
     # ------------------------------------------------------------------ utils
@@ -403,9 +402,6 @@ class Engine:
 
     def schedule(self, t: SimTime, action: Callable[[], None]) -> None:
         self.queue.schedule(self.now, t, action)
-
-    def window_of(self, t: SimTime) -> int:
-        return t // self.config.aggregation_window_us
 
     def compromise_mode_at(self, node_id: int, t: SimTime) -> CompromiseMode | None:
         for start, end, cmode in self.compromise.get(node_id, ()):
@@ -602,8 +598,6 @@ class Engine:
         dst = packet.dst
         rx_j = self.config.energy.rx_energy_j(packet.size_bits)
         self.log.meters[dst].rx_j += rx_j
-        counters = self.log.counters[dst]
-        counters.received[packet.kind.value] = counters.received.get(packet.kind.value, 0) + 1
         if counted and cell_of_tx is not None and not packet.long_range:
             self._cell_delivered[cell_of_tx] += 1
         self.log.delivered_to[packet.packet_id] = dst
@@ -735,50 +729,10 @@ class Engine:
                 self._log_charge(n.node_id, "idle", idle)
         if self.monitors is not None:
             self.monitors.on_window_end(self, window)
-        if self.mode == "hod":
-            self._emit_data_reports(window)
-        self.window_alert_counts = {}
         for inbox in self.inboxes.values():
             inbox.clear()
         for lst in self.overheard.values():
             lst.clear()
-
-    def _emit_data_reports(self, window: int) -> None:
-        """Data-plane periodic reports: cluster -> regional -> base."""
-        topo = self.topology
-        for cell in topo.cells:
-            cluster = topo.cluster_of(cell)
-            regional = topo.regional_of_cell(cell)
-            self.send(
-                Packet(
-                    packet_id=self.next_packet_id(),
-                    kind=PacketKind.CLUSTER_REPORT,
-                    src=cluster,
-                    origin=cluster,
-                    dst=regional,
-                    created_at=self.now,
-                    size_bits=self.config.energy.packet_size_bits,
-                    payload={
-                        "window": window,
-                        "alert_count": self.window_alert_counts.get(cluster, 0),
-                    },
-                )
-            )
-        for rid in sorted(topo.regional_by_region):
-            regional = topo.regional_by_region[rid]
-            self.send(
-                Packet(
-                    packet_id=self.next_packet_id(),
-                    kind=PacketKind.REGIONAL_ALARM,
-                    src=regional,
-                    origin=regional,
-                    dst=topo.base_id,
-                    created_at=self.now,
-                    size_bits=self.config.energy.packet_size_bits,
-                    payload={"window": window},
-                    long_range=True,
-                )
-            )
 
     def _plan_workload(self) -> None:
         wl = self.config.workload
@@ -831,8 +785,6 @@ class Engine:
 
     def run(self) -> RunLog:
         """Execute the scenario to its horizon and return the completed log."""
-        if self.monitors is not None and getattr(self.monitors, "wants_overhear", False):
-            self.overheard = {s: [] for s in self.topology.sensor_ids()}
         # boundaries are scheduled before the workload so that at an exact
         # boundary instant the window rolls over before any same-time send
         w = self.config.aggregation_window_us

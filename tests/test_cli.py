@@ -1,7 +1,9 @@
 """CLI behavior: outputs, formats, exit codes, and failure cleanup."""
 
 import csv
+import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +135,10 @@ class TestExitCodes:
         assert run_cli(cfg, out, "--seeds", "5..x") == 2
         assert run_cli(cfg, out, "--seeds", "9..5") == 2
         assert run_cli(cfg, out, "--seed", "1", "--seeds", "1..2") == 2
+        assert run_cli(cfg, out, "--seed", "-3") == 2
+        assert run_cli(cfg, out, "--seeds=-3..2") == 2
+        assert run_cli(cfg, out, "--seeds", "1..\u00b2") == 2  # a digit that int() rejects
+        assert not out.exists()
         capsys.readouterr()
 
     def test_argparse_rejections(self, cfg, tmp_path, capsys):
@@ -210,3 +216,34 @@ class TestDeterminism:
         assert run_cli(cfg, b, "--mode", "compare", "--seed", "5") == 0
         for p in sorted(a.iterdir()):
             assert (b / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cfg"
+
+# sha256 over the name, length and bytes of every file that
+# `--mode compare --seed 1` writes for each bundled example.  A change that
+# alters outputs on purpose re-pins these and says why.
+EXAMPLE_DIGESTS = {
+    "jamming": "ee7c0f0da58f6dacc54ef199b0a3fd22d0598afabac894b09e816da648832e15",
+    "node_compromise": "1fbf42ebb865323c91b13b1b15193d3efe63a1098ca11f7799eb96cd33be87ab",
+    "route_deviation": "3108f8d701de25d3a942e758953569bc7e29c496caecfc7a11c997481acc62df",
+    "sleep_replay": "7ebed4ca4f9c68f35fd266015339367cecbedab9fb70aeb90eee9d1f3f0b0866",
+    "slot_spoof": "88809a05fa9baecaf8c19f77e526cf8dc360ef7e0cb45c37f2d4fa53c4f4e7fe",
+}
+
+
+class TestBundledExamples:
+    def test_every_example_is_pinned(self):
+        assert {p.stem for p in EXAMPLES.glob("*.yaml")} == set(EXAMPLE_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_DIGESTS))
+    def test_outputs_match_pinned_digest(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(str(EXAMPLES / f"{name}.yaml"), out, "--mode", "compare", "--seed", "1") == 0
+        capsys.readouterr()
+        h = hashlib.sha256()
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            h.update(f"{path.name}\0{len(data)}\0".encode())
+            h.update(data)
+        assert h.hexdigest() == EXAMPLE_DIGESTS[name]

@@ -92,6 +92,17 @@ class TestStrictParsing:
             ScenarioConfig.from_dict({"seed": True})
         with pytest.raises(ConfigError, match="'seed' must be an integer"):
             ScenarioConfig.from_dict({"seed": "7"})
+        with pytest.raises(ConfigError, match="'seed' must be an integer >= 0"):
+            ScenarioConfig.from_yaml("seed: -4\n")
+
+    @pytest.mark.parametrize("value", ["abc", "-0.1", ".nan", ".inf", "-.inf", "true", "[0.1]"])
+    def test_compare_tolerance_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ConfigError, match="'compare_tolerance' must be a finite number >= 0"):
+            ScenarioConfig.from_yaml(f"compare_tolerance: {value}\n")
+
+    def test_compare_tolerance_accepts_int_and_zero(self):
+        assert ScenarioConfig.from_yaml("compare_tolerance: 0\n").compare_tolerance == 0.0
+        assert ScenarioConfig.from_yaml("compare_tolerance: 1\n").compare_tolerance == 1.0
 
     def test_threshold_validation_becomes_config_error(self):
         with pytest.raises(ConfigError, match="invalid section 'detect'"):

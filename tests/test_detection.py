@@ -13,8 +13,6 @@ from hodsim.detection import (
     ConnectivityGraph,
     DetectorThresholds,
     HodMonitors,
-    alert_from_dict,
-    alert_to_dict,
     base_station_report,
     check_route,
     cluster_pipeline,
@@ -24,6 +22,7 @@ from hodsim.detection import (
     suspect_node,
     watchdog_check,
 )
+from hodsim.metrics import score
 from hodsim.simcore import (
     ChannelWindowStats,
     GroundTruthEvent,
@@ -366,22 +365,6 @@ class TestWatchdog:
         }
 
 
-class TestAlertSerialization:
-    def test_round_trip(self):
-        a = Alert(
-            rule=AlertRule.SLOT_VIOLATION,
-            layer="link",
-            suspect="node:4",
-            detected_by=21,
-            detected_at=3_000_000,
-            window=2,
-            hop_trail=[21, 28],
-            evidence={"t_tx": 123, "slot_owner": 3},
-            packet_id=77,
-        )
-        assert alert_from_dict(alert_to_dict(a)) == a
-
-
 class TestRippling:
     def spoofed_run(self, horizon=6, **spec_kw):
         eng = make_engine(sensors_per_cell=3, horizon_windows=horizon)
@@ -417,6 +400,28 @@ class TestRippling:
             assert r.alert.hop_trail == [cluster, regional, eng.topology.base_id]
             # one window of store-and-forward at the regional, then one hop up
             assert r.base_arrival_us == r.alert.detected_at + W + 2000
+
+    def test_base_detected_alert_trail_is_the_base_alone(self):
+        eng = make_engine(horizon_windows=6)
+        HodMonitors(eng, DetectorThresholds())
+        rid = sorted(eng.topology.regional_by_region)[0]
+        spec = AttackSpec(
+            kind=AttackKind.NODE_COMPROMISE,
+            start_us=W,
+            end_us=6 * W,
+            target_role="regional",
+            region=rid,
+            compromise_mode="Silent",
+        )
+        apply_attacks(eng, [spec])
+        eng.run()
+        base = eng.topology.base_id
+        records = [r for r in eng.log.base_received if r.alert.detected_by == base]
+        assert records
+        for r in records:
+            assert r.alert.hop_trail == [base]
+        own = [a for a in eng.log.alerts if a.detected_by == base]
+        assert own and all(a.hop_trail == [base] for a in own)
 
     def test_retries_deliver_exactly_once(self):
         # jam the victim's uplink for two boundaries; the outbox must retry
@@ -569,7 +574,7 @@ class TestMatchAlerts:
 class TestBaseStationReport:
     def test_spoof_run_summary(self):
         eng = TestRippling().spoofed_run()
-        report = base_station_report(eng.log, eng.topology)
+        report = base_station_report(eng.log, eng.topology, score(eng.log, eng.topology).matched)
         assert report.n_windows == 6
         scope = suspect_cell(CELL)
         assert report.tally[scope]["SlotViolation"] == 2

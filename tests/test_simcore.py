@@ -300,7 +300,7 @@ class TestEngineMechanics:
         drain(eng)
         assert eng.log.counters[victim].total_sent() == 0  # the victim sent nothing
         assert eng.log.meters[victim].tx_j == 0.0
-        assert eng.inboxes[cluster][0][1].packet_id == pkt.packet_id
+        assert eng.log.delivered_to[pkt.packet_id] == cluster
 
     def test_interference_sums_multiple_sources(self):
         eng = make_engine()
