@@ -45,17 +45,23 @@ class SimSection:
     drain_us: int = 50_000
 
 
-def _parse_cell(value: Any) -> HexCoord:
+def _integer(value: Any, key: str) -> int:
+    """value itself if it is an int; a float or bool is an error, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _parse_cell(value: Any, path: str) -> HexCoord:
     if isinstance(value, HexCoord):
         return value
     if isinstance(value, dict):
-        extra = set(value) - {"q", "r"}
-        if extra:
-            raise ConfigError(f"cell coordinate has unknown key '{sorted(extra)[0]}'")
-        return HexCoord(int(value["q"]), int(value["r"]))
+        if set(value) != {"q", "r"}:
+            raise ConfigError(f"cell coordinate '{path}' must have the keys q and r, got {list(value)}")
+        value = [value["q"], value["r"]]
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return HexCoord(int(value[0]), int(value[1]))
-    raise ConfigError(f"cell coordinate must be [q, r] or {{q, r}}, got {value!r}")
+        return HexCoord(_integer(value[0], f"{path}.q"), _integer(value[1], f"{path}.r"))
+    raise ConfigError(f"cell coordinate '{path}' must be [q, r] or {{q, r}}, got {value!r}")
 
 
 def _parse_position(value: Any) -> tuple[float, float]:
@@ -98,10 +104,10 @@ def _parse_attack(data: Any, path: str) -> AttackSpec:
         path,
         converters={
             "kind": lambda v: v if isinstance(v, AttackKind) else AttackKind(str(v)),
-            "cell": _parse_cell,
+            "cell": lambda v: _parse_cell(v, f"{path}.cell"),
             "position": _parse_position,
-            "start_us": int,
-            "end_us": int,
+            "start_us": lambda v: _integer(v, f"{path}.start_us"),
+            "end_us": lambda v: _integer(v, f"{path}.end_us"),
         },
     )
 

@@ -22,12 +22,13 @@ The layer tag on an alert names the protocol layer whose rule fired:
 phy (jamming), link (slot / sleep / foreign origin), net (route deviation),
 overlay (watchdog findings about the monitoring hierarchy itself).
 
-FlatMonitors is the baseline without the hierarchy: every sensor promiscuously
-overhears its neighborhood, runs the same rules locally on the data addressed
-to its own cluster, and gossips per-window state and anomaly notices to each
-in-range peer.  Those exchanges ride the always-on control plane (exempt from
-the data-plane duty cycle), which is exactly the per-node overhead the
-hierarchical overlay is designed to avoid.
+FlatMonitors is the baseline without the hierarchy: the same IDS module on
+every sensor.  Each sensor promiscuously overhears its neighborhood, runs
+cluster_pipeline (the cluster node's own window step) on what it overheard, so
+it judges the data addressed to its cell's cluster, and gossips per-window
+state and anomaly notices to each in-range peer.  Those exchanges ride the
+always-on control plane (exempt from the data-plane duty cycle), which is
+exactly the per-node overhead the hierarchical overlay is designed to avoid.
 """
 
 from __future__ import annotations
@@ -313,19 +314,23 @@ def cluster_pipeline(
     engine: Engine,
     graph: ConnectivityGraph,
     thresholds: DetectorThresholds,
-    cluster_id: int,
+    detector: int,
     window: int,
-    received: list[tuple[SimTime, Packet, float | None]],
+    received: list[tuple[SimTime, Packet]],
     stats: ChannelWindowStats,
 ) -> tuple[list[Alert], int]:
-    """Run one cluster node's window: gather, detect, package.
+    """Run one detector's window: gather, detect, package.
 
+    The detector is a cluster node reading its inbox (overlay) or a sensor
+    reading what it overheard (flat baseline); either way it judges its own
+    cell's channel and the data packets addressed to its cell's cluster.
     Returns the alerts plus the number of rule evaluations performed (for the
     monitor energy ledger).  Callers must not invoke this for a cluster in
     Silent compromise.
     """
     topo = engine.topology
-    cell = topo.node(cluster_id).cell
+    cell = topo.node(detector).cell
+    cluster = topo.cluster_of(cell)
     now = engine.now
     sensors = set(topo.sensors_of(cell))
     tdma = engine.tdma[cell]
@@ -337,18 +342,18 @@ def cluster_pipeline(
     evals = 1
     if fired:
         alerts.append(
-            _new_alert(AlertRule.JAMMING_SUSPECTED, suspect_cell(cell), cluster_id, now, window, evidence)
+            _new_alert(AlertRule.JAMMING_SUSPECTED, suspect_cell(cell), detector, now, window, evidence)
         )
 
-    for arrival, packet, _rssi in received:
-        if packet.kind not in DATA_KINDS:
+    for arrival, packet in received:
+        if packet.dst != cluster or packet.kind not in DATA_KINDS:
             continue
         t_tx = arrival - latency  # claimed transmit time reconstructed from the hop latency
         findings, n = evaluate_data_packet(packet, t_tx, sensors, tdma, smac, graph, cell)
         evals += n
         suspect = suspect_node(packet.origin)
         alerts.extend(
-            _new_alert(rule, suspect, cluster_id, now, window, ev, packet.packet_id)
+            _new_alert(rule, suspect, detector, now, window, ev, packet.packet_id)
             for rule, ev in findings
         )
 
@@ -565,7 +570,7 @@ class HodMonitors:
         )
 
         # liveness ledger: any claimed-origin data counts as a sign of life
-        for _t, packet, _r in received:
+        for _t, packet in received:
             if packet.kind in DATA_KINDS and packet.origin in self.sensor_last_seen:
                 if eng.topology.node(packet.origin).cell == cell:
                     self.sensor_last_seen[packet.origin] = window
@@ -617,7 +622,7 @@ class HodMonitors:
         children = [topo.cluster_of(c) for c in member_cells]
 
         incoming: list[Alert] = []
-        for _t, packet, _r in received:
+        for _t, packet in received:
             src = packet.src
             if src in children:
                 if packet.kind in (PacketKind.CLUSTER_REPORT, PacketKind.HEARTBEAT):
@@ -699,7 +704,7 @@ class HodMonitors:
         base = topo.base_id
         received = eng.inboxes[base]
         regionals = sorted(topo.regional_by_region.values())
-        for t, packet, _r in received:
+        for t, packet in received:
             if packet.src in self.regional_last_seen:
                 self.regional_last_seen[packet.src] = window
             if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
@@ -748,7 +753,7 @@ class HodMonitors:
 
 
 class FlatMonitors:
-    """Per-sensor standalone IDS: local rules plus neighborhood gossip."""
+    """Per-sensor standalone IDS: the cluster's window step at every sensor, plus gossip."""
 
     def __init__(self, engine: Engine, thresholds: DetectorThresholds) -> None:
         self.engine = engine
@@ -760,48 +765,21 @@ class FlatMonitors:
             self.neighbors[s] = [
                 v for v in self.graph.adj[s] if topo.role(v) is NodeRole.SENSOR
             ]
-        self.cell_members: dict[int, set[int]] = {
-            s: set(topo.sensors_of(topo.node(s).cell)) for s in topo.sensor_ids()
-        }
         engine.overheard = {s: [] for s in topo.sensor_ids()}
         engine.monitors = self
 
     def on_window_end(self, engine: Engine, window: int) -> None:
         topo = engine.topology
-        now = engine.now
-        latency = engine.config.radio.per_hop_latency_us
         for sensor in topo.sensor_ids():
-            cell = topo.node(sensor).cell
-            cluster = topo.cluster_of(cell)
-            found: list[Alert] = []
-
-            fired, evidence = detect_jamming(engine.current_window_stats[cell], self.thresholds)
-            evals = 1
-            if fired:
-                found.append(
-                    _new_alert(AlertRule.JAMMING_SUSPECTED, suspect_cell(cell), sensor, now, window, evidence)
-                )
-
-            # only the data addressed to the sensor's own cluster, as that cluster would see it
-            for t, packet in engine.overheard[sensor]:
-                if packet.dst != cluster or packet.kind not in DATA_KINDS:
-                    continue
-                findings, n = evaluate_data_packet(
-                    packet,
-                    t - latency,
-                    self.cell_members[sensor],
-                    engine.tdma[cell],
-                    engine.smac[cell],
-                    self.graph,
-                    cell,
-                )
-                evals += n
-                suspect = suspect_node(packet.origin)
-                found.extend(
-                    _new_alert(rule, suspect, sensor, now, window, ev, packet.packet_id)
-                    for rule, ev in findings
-                )
-
+            found, evals = cluster_pipeline(
+                engine,
+                self.graph,
+                self.thresholds,
+                sensor,
+                window,
+                engine.overheard[sensor],
+                engine.current_window_stats[topo.node(sensor).cell],
+            )
             for a in found:
                 engine.log.flat_anomalies.append(a)
                 _trace_finding(engine, a, "anomaly")

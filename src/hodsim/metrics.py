@@ -104,15 +104,10 @@ def _flat_records(run_log: RunLog) -> list[BaseAlertRecord]:
     ]
 
 
-def score(
-    run_log: RunLog,
-    topology: Topology,
-    thresholds: DetectorThresholds | None = None,
-) -> Metrics:
-    th = thresholds or DetectorThresholds()
+def score(run_log: RunLog, topology: Topology, thresholds: DetectorThresholds) -> Metrics:
     records = run_log.base_received if run_log.mode == "hod" else _flat_records(run_log)
     pairs, unmatched = match_alerts(
-        run_log.ground_truth, records, run_log.window_us, th.match_window_count
+        run_log.ground_truth, records, run_log.window_us, thresholds.match_window_count
     )
     delivered_ids = {
         pid for pid, receiver in run_log.delivered_to.items()

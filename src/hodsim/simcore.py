@@ -7,15 +7,16 @@ hierarchical overlay or the flat per-sensor baseline) attach as a hook object
 and are invoked once per aggregation window.  A monitor registers the receive
 buffers it reads (cluster and overlay inboxes, or promiscuous overhearing
 lists) and sends its own protocol traffic through Engine.send; the engine only
-fills the registered buffers and clears them after each window.
+fills the registered buffers with (time, packet) entries and clears them after
+each window.
 
 Radio: log-distance path loss with optional gaussian shadowing per
 transmission.  A packet is delivered iff its sampled RSSI clears the receiver
 sensitivity and the signal-to-interference ratio clears the SINR threshold
-against the noise floor plus any active jammers.  Two overlapping data-plane
-transmissions to the same cluster node collide and both drop; scheduled
-control-plane messages are modeled on a separate logical channel and do not
-collide.
+against the noise floor plus any active jammers.  Only in-range data-plane
+sends into a cluster node contend for its channel: two that overlap in time
+collide and both drop.  Scheduled control-plane messages are modeled on a
+separate logical channel, and sends to any other receiver do not collide.
 
 Energy: first-order radio model.  Transmit cost is e_elec * bits +
 e_amp * bits * d^2, receive cost is e_elec * bits; monitors additionally pay a
@@ -311,7 +312,6 @@ class _PendingTx:
     end_us: SimTime
     packet: Packet
     rssi_dbm: float
-    receiver: int
     in_range: bool
 
 
@@ -384,12 +384,13 @@ class Engine:
             self.log.meters[n.node_id] = EnergyMeter()
             self.log.counters[n.node_id] = MessageCounters()
 
-        self._pending_by_receiver: dict[int, list[_PendingTx]] = {}
+        # cluster node -> in-range data sends into it that may still collide
+        self._contending: dict[int, list[_PendingTx]] = {}
         self._cell_sent: dict[HexCoord, int] = {c: 0 for c in topology.cells}
         self._cell_delivered: dict[HexCoord, int] = {c: 0 for c in topology.cells}
         self._cell_cs_samples: dict[HexCoord, list[int]] = {c: [] for c in topology.cells}
         # receive buffers, registered by the attached monitor
-        self.inboxes: dict[int, list[tuple[SimTime, Packet, float | None]]] = {}
+        self.inboxes: dict[int, list[tuple[SimTime, Packet]]] = {}
         self.overheard: dict[int, list[tuple[SimTime, Packet]]] = {}
         self.current_window_stats: dict[HexCoord, ChannelWindowStats] = {}
 
@@ -516,10 +517,10 @@ class Engine:
             end_us=self.now + radio.airtime_us,
             packet=packet,
             rssi_dbm=rssi,
-            receiver=packet.dst,
             in_range=rssi >= radio.rx_sensitivity_dbm,
         )
-        self._pending_by_receiver.setdefault(packet.dst, []).append(pending)
+        if pending.in_range and not packet.control and dst_node.role is NodeRole.CLUSTER:
+            self._contending.setdefault(packet.dst, []).append(pending)
         self.schedule(self.now + radio.per_hop_latency_us, lambda: self._resolve(pending))
         return True
 
@@ -532,13 +533,12 @@ class Engine:
         self._cell_cs_samples[cell].append(wait)
 
     def _collides(self, pending: _PendingTx) -> bool:
-        # slot collisions only matter on the shared data channel into a cluster
+        # slot collisions only matter on the shared data channel into a cluster;
+        # an in-range data send to a cluster is in its own receiver's table
         if pending.packet.control:
             return False
-        if self.topology.node(pending.receiver).role is not NodeRole.CLUSTER:
-            return False
-        for other in self._pending_by_receiver.get(pending.receiver, ()):
-            if other is pending or other.packet.control or not other.in_range:
+        for other in self._contending.get(pending.packet.dst, ()):
+            if other is pending:
                 continue
             if other.start_us < pending.end_us and other.end_us > pending.start_us:
                 return True
@@ -547,7 +547,7 @@ class Engine:
     def _resolve(self, pending: _PendingTx) -> None:
         radio = self.config.radio
         packet = pending.packet
-        dst_node = self.topology.node(pending.receiver)
+        dst_node = self.topology.node(packet.dst)
         outcome = Outcome.DELIVERED
         if not pending.in_range:
             outcome = Outcome.OUT_OF_RANGE
@@ -580,12 +580,12 @@ class Engine:
                 )
             )
         self._overhear(pending)
-        # prune expired pendings so collision scans stay O(recent)
-        lst = self._pending_by_receiver.get(pending.receiver)
+        # Every hop resolves one latency after it starts, so every send still
+        # unresolved started no earlier than this one: an entry that ended
+        # before this one started can collide with nothing any more.
+        lst = self._contending.get(packet.dst)
         if lst is not None:
-            self._pending_by_receiver[pending.receiver] = [
-                p for p in lst if p.end_us > self.now - 10 * radio.airtime_us
-            ]
+            self._contending[packet.dst] = [p for p in lst if p.end_us > pending.start_us]
 
     def _deliver(
         self,
@@ -616,7 +616,7 @@ class Engine:
             )
         )
         if dst in self.inboxes:
-            self.inboxes[dst].append((self.now, packet, rssi))
+            self.inboxes[dst].append((self.now, packet))
         dst_node = self.topology.node(dst)
         if dst_node.role is NodeRole.SENSOR and packet.kind is PacketKind.SENSOR_DATA:
             self._relay_onward(packet, dst)

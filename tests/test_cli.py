@@ -126,6 +126,14 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cell_missing_a_coordinate_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(SCENARIO.replace("cell: [0, 0]", "cell: {q: 0}"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(str(bad), out, "--seed", "1") == 2
+        assert "must have the keys q and r" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(str(tmp_path / "absent.yaml"), tmp_path / "out") == 2
         assert "error:" in capsys.readouterr().err

@@ -74,6 +74,18 @@ class TestStrictParsing:
             ScenarioConfig.from_dict(
                 {"attacks": [{"kind": "Jamming", "start_us": 0, "end_us": 1, "cell": "here"}]}
             )
+        # coordinates and interval ends are integers: never truncated, never a KeyError
+        for field, match in [
+            ({"cell": {"q": 0}}, r"'attacks\[0\]\.cell' must have the keys q and r"),
+            ({"cell": [0.7, 0]}, r"'attacks\[0\]\.cell\.q' must be an integer"),
+            ({"cell": {"q": 0, "r": True}}, r"'attacks\[0\]\.cell\.r' must be an integer"),
+            ({"start_us": 0.5}, r"'attacks\[0\]\.start_us' must be an integer"),
+            ({"start_us": True}, r"'attacks\[0\]\.start_us' must be an integer"),
+            ({"end_us": 1.0}, r"'attacks\[0\]\.end_us' must be an integer"),
+        ]:
+            attack = {"kind": "Jamming", "start_us": 0, "end_us": 1, "cell": [0, 0], **field}
+            with pytest.raises(ConfigError, match=match):
+                ScenarioConfig.from_dict({"attacks": [attack]})
 
     def test_attacks_must_be_a_list(self):
         with pytest.raises(ConfigError, match="must be a list"):

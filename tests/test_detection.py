@@ -198,6 +198,8 @@ class TestCheckRoute:
 
 
 class TestClusterPipeline:
+    """The window step as the overlay runs it, at the cell's cluster node."""
+
     def setup_method(self):
         self.eng = make_engine(sensors_per_cell=3)
         self.topo = self.eng.topology
@@ -205,6 +207,7 @@ class TestClusterPipeline:
         self.thresholds = DetectorThresholds().resolved(RadioModel())
         self.cluster = self.topo.cluster_of(CELL)
         self.sensors = self.topo.sensors_of(CELL)
+        self.detector = self.cluster
 
     def inbox_entry(self, origin, t_tx, path=None, pid=0):
         packet = Packet(
@@ -217,18 +220,20 @@ class TestClusterPipeline:
             size_bits=512,
             path_so_far=path if path is not None else [self.cluster],
         )
-        return (t_tx + 2000, packet, -60.0)
+        return (t_tx + 2000, packet)
 
-    def run_pipeline(self, received):
-        return cluster_pipeline(
+    def run_pipeline(self, received, stats=None):
+        alerts, evals = cluster_pipeline(
             self.eng,
             self.graph,
             self.thresholds,
-            self.cluster,
+            self.detector,
             0,
             received,
-            stats_for(CELL),
+            stats or stats_for(CELL),
         )
+        assert all(a.detected_by == self.detector for a in alerts)
+        return alerts, evals
 
     def test_compliant_window_is_quiet(self):
         s0 = self.sensors[0]
@@ -279,9 +284,21 @@ class TestClusterPipeline:
             created_at=0,
             size_bits=512,
         )
-        alerts, evals = self.run_pipeline([(2_000, hb, -60.0)])
-        assert alerts == []
-        assert evals == 1  # only the jamming vote
+        # a detour's first hop is data, but addressed to the relay sensor
+        s0, s1 = self.sensors[0], self.sensors[1]
+        first_hop = Packet(
+            packet_id=10,
+            kind=PacketKind.SENSOR_DATA,
+            src=s0,
+            origin=s0,
+            dst=s1,
+            created_at=0,
+            size_bits=512,
+        )
+        for packet in (hb, first_hop):
+            alerts, evals = self.run_pipeline([(2_000, packet)])
+            assert alerts == []
+            assert evals == 1  # only the jamming vote
 
     def test_duplicate_alerts_packaged_once(self):
         s1 = self.sensors[1]
@@ -291,18 +308,18 @@ class TestClusterPipeline:
         assert evals == 1 + 4 + 4  # both copies were still evaluated
 
     def test_jamming_vote_in_pipeline(self):
-        alerts, _ = cluster_pipeline(
-            self.eng,
-            self.graph,
-            self.thresholds,
-            self.cluster,
-            0,
-            [],
-            stats_for(CELL, pdr=0.2, idle=-70.0),
-        )
+        alerts, _ = self.run_pipeline([], stats_for(CELL, pdr=0.2, idle=-70.0))
         assert [a.rule for a in alerts] == [AlertRule.JAMMING_SUSPECTED]
         assert alerts[0].suspect == suspect_cell(CELL)
         assert alerts[0].layer == "phy"
+
+
+class TestClusterPipelineAtASensor(TestClusterPipeline):
+    """Every case again, with a sensor of the cell as detector (the flat baseline)."""
+
+    def setup_method(self):
+        super().setup_method()
+        self.detector = self.sensors[2]
 
 
 class TestWatchdog:
@@ -574,7 +591,8 @@ class TestMatchAlerts:
 class TestBaseStationReport:
     def test_spoof_run_summary(self):
         eng = TestRippling().spoofed_run()
-        report = base_station_report(eng.log, eng.topology, score(eng.log, eng.topology).matched)
+        pairs = score(eng.log, eng.topology, DetectorThresholds()).matched
+        report = base_station_report(eng.log, eng.topology, pairs)
         assert report.n_windows == 6
         scope = suspect_cell(CELL)
         assert report.tally[scope]["SlotViolation"] == 2

@@ -125,7 +125,7 @@ class TestScoreSynthetic:
 
     def test_rates_use_both_denominators(self):
         topo, log, victim, cluster = self.build()
-        m = score(log, topo)
+        m = score(log, topo, DetectorThresholds())
         assert m.gt_total == {"SlotSpoof": 2}
         assert m.gt_delivered == {"SlotSpoof": 1}
         assert m.detected == {"SlotSpoof": 1}
@@ -134,7 +134,7 @@ class TestScoreSynthetic:
 
     def test_latency_and_false_positives(self):
         topo, log, *_ = self.build()
-        m = score(log, topo)
+        m = score(log, topo, DetectorThresholds())
         assert m.latencies_us["SlotSpoof"] == [2 * W + 2000 - 100_000]
         assert m.mean_latency_us("SlotSpoof") == 2 * W + 2000 - 100_000
         assert m.false_positives == {"JammingSuspected": 1}
@@ -142,7 +142,7 @@ class TestScoreSynthetic:
 
     def test_message_and_energy_tallies(self):
         topo, log, victim, cluster = self.build()
-        m = score(log, topo)
+        m = score(log, topo, DetectorThresholds())
         assert m.ids_control_messages == 2
         assert m.total_messages == 3
         n_sensors = len(topo.sensor_ids())
@@ -153,7 +153,7 @@ class TestScoreSynthetic:
 
     def test_to_row_formats(self):
         topo, log, *_ = self.build()
-        row = score(log, topo).to_row()
+        row = score(log, topo, DetectorThresholds()).to_row()
         assert row["rate_SlotSpoof"] == "0.5000"
         assert row["rate_delivered_SlotSpoof"] == "1.0000"
         assert row["fp_JammingSuspected"] == 1
@@ -163,17 +163,17 @@ class TestScoreSynthetic:
         topo, log, victim, cluster = self.build()
         log.counters[cluster].control_sent = 5  # counters now lie vs the trace
         with pytest.raises(AssertionError, match="ledgers disagree"):
-            score(log, topo)
+            score(log, topo, DetectorThresholds())
 
     def test_delivered_ids_scan(self):
         topo, log, victim, cluster = self.build()
-        assert score(log, topo).gt_delivered == {"SlotSpoof": 1}
+        assert score(log, topo, DetectorThresholds()).gt_delivered == {"SlotSpoof": 1}
         # packet 2 last reached a non-cluster node: it does not count
         log.delivered_to[2] = topo.base_id
-        assert score(log, topo).gt_delivered == {"SlotSpoof": 1}
+        assert score(log, topo, DetectorThresholds()).gt_delivered == {"SlotSpoof": 1}
         # a detoured packet counts once its last receiver is the cluster
         log.delivered_to[2] = cluster
-        assert score(log, topo).gt_delivered == {"SlotSpoof": 2}
+        assert score(log, topo, DetectorThresholds()).gt_delivered == {"SlotSpoof": 2}
 
 
 class TestFlatRecords:
@@ -228,7 +228,7 @@ class TestFlatMonitors:
             ],
         )
         eng.run()
-        m = score(eng.log, eng.topology)
+        m = score(eng.log, eng.topology, DetectorThresholds())
         assert m.mode == "flat"
         assert m.detection_rate["SlotSpoof"] == 1.0
         assert m.false_positives.get("JammingSuspected", 0) == 0

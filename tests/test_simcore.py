@@ -207,32 +207,39 @@ class TestDeliveryOutcomes:
         assert self.outcomes(eng.log) == [(Outcome.JAMMED.value, 0), ("rx", 1)]
 
     def test_collision_between_overlapping_data_sends(self):
-        eng = make_engine(sensors_per_cell=3)
-        topo = eng.topology
-        cell = sorted(topo.cells)[0]
-        s1, s2, s3 = topo.sensors_of(cell)
-        cluster = topo.cluster_of(cell)
-        # two overlap (airtime 1000 us), the third is clear of both
-        eng.schedule(0, lambda: eng.send(data_packet(eng, s1, cluster)))
-        eng.schedule(500, lambda: eng.send(data_packet(eng, s2, cluster)))
-        eng.schedule(5_000, lambda: eng.send(data_packet(eng, s3, cluster)))
-        drain(eng)
-        assert self.outcomes(eng.log) == [
-            (Outcome.COLLISION.value, 0),
-            (Outcome.COLLISION.value, 1),
-            ("rx", 2),
-        ]
+        # at 20 ms per hop the first send resolves 20 airtimes after it
+        # starts; the second, which overlaps it, must still find it
+        for latency in (2_000, 20_000):
+            eng = make_engine(sensors_per_cell=3, radio=RadioModel(per_hop_latency_us=latency))
+            topo = eng.topology
+            cell = sorted(topo.cells)[0]
+            s1, s2, s3 = topo.sensors_of(cell)
+            cluster = topo.cluster_of(cell)
+            # two overlap (airtime 1000 us), the third is clear of both
+            eng.schedule(0, lambda: eng.send(data_packet(eng, s1, cluster)))
+            eng.schedule(500, lambda: eng.send(data_packet(eng, s2, cluster)))
+            eng.schedule(5_000, lambda: eng.send(data_packet(eng, s3, cluster)))
+            drain(eng)
+            assert self.outcomes(eng.log) == [
+                (Outcome.COLLISION.value, 0),
+                (Outcome.COLLISION.value, 1),
+                ("rx", 2),
+            ], latency
 
     def test_control_plane_never_collides(self):
-        eng = make_engine(sensors_per_cell=2)
-        topo = eng.topology
-        cell = sorted(topo.cells)[0]
-        s1, s2 = topo.sensors_of(cell)
-        cluster = topo.cluster_of(cell)
-        eng.schedule(0, lambda: eng.send(data_packet(eng, s1, cluster, control=True)))
-        eng.schedule(0, lambda: eng.send(data_packet(eng, s2, cluster, control=True)))
-        drain(eng)
-        assert [o for o, _ in self.outcomes(eng.log)] == ["rx", "rx"]
+        # two control sends, then one control and one data send, into one cluster
+        for second_is_control in (True, False):
+            eng = make_engine(sensors_per_cell=2)
+            topo = eng.topology
+            cell = sorted(topo.cells)[0]
+            s1, s2 = topo.sensors_of(cell)
+            cluster = topo.cluster_of(cell)
+            eng.schedule(0, lambda: eng.send(data_packet(eng, s1, cluster, control=True)))
+            eng.schedule(
+                0, lambda: eng.send(data_packet(eng, s2, cluster, control=second_is_control))
+            )
+            drain(eng)
+            assert [o for o, _ in self.outcomes(eng.log)] == ["rx", "rx"]
 
     def test_sends_to_non_cluster_receivers_do_not_collide(self):
         eng = make_engine(sensors_per_cell=3)
