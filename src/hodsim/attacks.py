@@ -37,7 +37,7 @@ from .simcore import (
     PacketKind,
 )
 from .mac import is_awake, slot_owner_at
-from .topology import HexCoord, NodeRole, axial_to_xy
+from .topology import HexCoord, NodeRole, axial_to_xy, suspect_cell, suspect_node
 
 
 class AttackKind(enum.Enum):
@@ -125,7 +125,7 @@ def inject_jamming(engine: Engine, spec: AttackSpec, rng: random.Random) -> None
         GroundTruthEvent(
             time_us=spec.start_us,
             kind=AttackKind.JAMMING.value,
-            target=f"cell:{cell.q},{cell.r}",
+            target=suspect_cell(cell),
             detail=f"{spec.power_dbm:g} dBm at ({x:.1f},{y:.1f})",
             end_us=spec.end_us,
         )
@@ -168,7 +168,7 @@ def _schedule_forgeries(
             GroundTruthEvent(
                 time_us=t,
                 kind=kind.value,
-                target=f"node:{victim}",
+                target=suspect_node(victim),
                 detail=f"forged origin {victim} into cell ({cell.q},{cell.r})",
                 packet_id=packet.packet_id,
             )
@@ -293,7 +293,7 @@ def inject_node_compromise(engine: Engine, spec: AttackSpec, rng: random.Random)
         GroundTruthEvent(
             time_us=spec.start_us,
             kind=AttackKind.NODE_COMPROMISE.value,
-            target=f"node:{target}",
+            target=suspect_node(target),
             detail=mode.value,
             end_us=spec.end_us,
         )

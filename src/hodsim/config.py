@@ -15,6 +15,8 @@ import enum
 import hashlib
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,12 +46,36 @@ class SimSection:
     sensing_tick_us: int = 100_000
     drain_us: int = 50_000
 
+    def __post_init__(self) -> None:
+        if self.aggregation_window_us <= 0:
+            raise ValueError("aggregation_window_us must be > 0")
+        if self.horizon_windows <= 0:
+            raise ValueError("horizon_windows must be > 0")
+        if self.sensing_tick_us <= 0:
+            raise ValueError("sensing_tick_us must be > 0")
+        if self.drain_us < 0:
+            raise ValueError("drain_us must be >= 0")
+
 
 def _integer(value: Any, key: str) -> int:
     """value itself if it is an int; a float or bool is an error, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}")
     return value
+
+
+def _check_type(hint: Any, value: Any, key: str) -> None:
+    """Reject a value that is not of its int, float or bool field's type (`X | None` allows None)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None:
+            return
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if hint is int:
+        _integer(value, key)
+    elif hint is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    elif hint is bool and not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be true or false, got {value!r}")
 
 
 def _parse_cell(value: Any, path: str) -> HexCoord:
@@ -75,9 +101,9 @@ def _build(cls: type, data: Any, path: str, converters: dict[str, Any] | None = 
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"section '{path}' must be a mapping, got {type(data).__name__}")
-    names = [f.name for f in dataclasses.fields(cls)]
+    hints = typing.get_type_hints(cls)
     for key in data:
-        if key not in names:
+        if key not in hints:
             raise ConfigError(f"unknown key '{path}.{key}'")
     kwargs = {}
     for key, value in data.items():
@@ -90,6 +116,7 @@ def _build(cls: type, data: Any, path: str, converters: dict[str, Any] | None = 
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid value for '{path}.{key}': {exc}") from exc
         else:
+            _check_type(hints[key], value, f"{path}.{key}")
             kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -106,8 +133,6 @@ def _parse_attack(data: Any, path: str) -> AttackSpec:
             "kind": lambda v: v if isinstance(v, AttackKind) else AttackKind(str(v)),
             "cell": lambda v: _parse_cell(v, f"{path}.cell"),
             "position": _parse_position,
-            "start_us": lambda v: _integer(v, f"{path}.start_us"),
-            "end_us": lambda v: _integer(v, f"{path}.end_us"),
         },
     )
 

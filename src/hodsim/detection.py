@@ -53,7 +53,7 @@ from .simcore import (
     SimTime,
     TraceEvent,
 )
-from .topology import HexCoord, NodeRole, Topology
+from .topology import HexCoord, NodeRole, Topology, suspect_cell, suspect_node
 
 
 class AlertRule(enum.Enum):
@@ -75,14 +75,6 @@ LAYER_OF_RULE = {
     AlertRule.MISSED_HEARTBEAT: "overlay",
     AlertRule.SUPPRESSED_ALERTS: "overlay",
 }
-
-
-def suspect_node(node_id: int) -> str:
-    return f"node:{node_id}"
-
-
-def suspect_cell(cell: HexCoord) -> str:
-    return f"cell:{cell.q},{cell.r}"
 
 
 @dataclass(frozen=True)
@@ -108,6 +100,8 @@ class DetectorThresholds:
             raise ValueError("vote_k must be in 1..3")
         if self.heartbeat_timeout_windows < 1:
             raise ValueError("heartbeat_timeout_windows must be >= 1")
+        if self.match_window_count < 1:
+            raise ValueError("match_window_count must be >= 1")
 
     def resolved(self, radio: RadioModel) -> "DetectorThresholds":
         idle = (
@@ -517,22 +511,16 @@ class HodMonitors:
         self.cluster_outbox: dict[int, list[_OutboxEntry]] = {
             topo.cluster_of(c): [] for c in topo.cells
         }
-        self.sensor_last_seen: dict[int, int] = {s: -1 for s in topo.sensor_ids()}
-        self.child_last_seen: dict[int, int] = {
-            topo.cluster_of(c): -1 for c in topo.cells
+        # node -> last window its watcher saw a sign of life from it (every node but the base)
+        self.last_seen: dict[int, int] = {
+            n.node_id: -1 for n in topo.nodes if n.role is not NodeRole.BASE
         }
         self.child_report_log: dict[int, dict[int, int]] = {
             topo.cluster_of(c): {} for c in topo.cells
         }  # cluster -> {window: alert_count reported}
-        self.regional_seen_keys: dict[int, set[tuple]] = {
-            r: set() for r in topo.regional_by_region.values()
-        }
-        self.regional_last_seen: dict[int, int] = {
-            r: -1 for r in topo.regional_by_region.values()
-        }
-        self.base_seen_keys: set[tuple] = set()
-        self.stats_history: dict[HexCoord, dict[int, ChannelWindowStats]] = {
-            c: {} for c in topo.cells
+        # relaying node -> dedup keys of the alerts it has already taken in
+        self.seen_keys: dict[int, set[tuple]] = {
+            n: set() for n in [*topo.regional_by_region.values(), topo.base_id]
         }
         self.reported_alert_counts: dict[int, int] = {}  # cluster -> this window's report
         engine.inboxes = {m: [] for m in topo.monitor_ids()}
@@ -542,8 +530,6 @@ class HodMonitors:
 
     def on_window_end(self, engine: Engine, window: int) -> None:
         topo = engine.topology
-        for cell, stats in engine.current_window_stats.items():
-            self.stats_history[cell][window] = stats
         self.reported_alert_counts = {}
         for cell in topo.cells:
             self._cluster_step(topo.cluster_of(cell), cell, window)
@@ -564,17 +550,17 @@ class HodMonitors:
         if mode is CompromiseMode.SILENT:
             return
         received = eng.inboxes[cluster]
-        stats = eng.current_window_stats[cell]
+        stats = eng.log.window_stats[window][cell]
         alerts, evals = cluster_pipeline(
             eng, self.graph, self.thresholds, cluster, window, received, stats
         )
 
-        # liveness ledger: any claimed-origin data counts as a sign of life
+        # liveness ledger: any claimed-origin data from the cell's own sensors is a sign of life
+        sensors = eng.topology.sensors_of(cell)
         for _t, packet in received:
-            if packet.kind in DATA_KINDS and packet.origin in self.sensor_last_seen:
-                if eng.topology.node(packet.origin).cell == cell:
-                    self.sensor_last_seen[packet.origin] = window
-        for sensor in eng.topology.sensors_of(cell):
+            if packet.kind in DATA_KINDS and packet.origin in sensors:
+                self.last_seen[packet.origin] = window
+        for sensor in sensors:
             evals += 1
             alerts.extend(
                 watchdog_check(
@@ -583,7 +569,7 @@ class HodMonitors:
                     sensor,
                     window,
                     eng.now,
-                    self.sensor_last_seen[sensor],
+                    self.last_seen[sensor],
                     self.thresholds,
                 )
             )
@@ -626,16 +612,14 @@ class HodMonitors:
             src = packet.src
             if src in children:
                 if packet.kind in (PacketKind.CLUSTER_REPORT, PacketKind.HEARTBEAT):
-                    self.child_last_seen[src] = window
+                    self.last_seen[src] = window
                 if packet.kind is PacketKind.CLUSTER_REPORT:
                     self.child_report_log[src][packet.payload.get("window", window)] = (
                         packet.payload.get("alert_count", 0)
                     )
                 if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
                     alert = packet.payload["alert"]
-                    key = alert.dedup_key()
-                    if key not in self.regional_seen_keys[regional]:
-                        self.regional_seen_keys[regional].add(key)
+                    if self._first_sight(regional, alert):
                         incoming.append(_relayed_copy(alert, regional))
 
         own: list[Alert] = []
@@ -648,9 +632,7 @@ class HodMonitors:
             # excluded.  A missing report is absence, not a zero claim.
             evidence = []
             for w in range(max(0, window - self.thresholds.heartbeat_timeout_windows), window):
-                stats = self.stats_history[cell].get(w)
-                if stats is None:
-                    continue
+                stats = eng.log.window_stats[w][cell]
                 anomalous, _ev = detect_jamming(stats, self.thresholds)
                 reported = self.child_report_log[child].get(w)
                 evidence.append(
@@ -669,7 +651,7 @@ class HodMonitors:
                     child,
                     window,
                     eng.now,
-                    self.child_last_seen[child],
+                    self.last_seen[child],
                     self.thresholds,
                     suppression_evidence=evidence,
                 )
@@ -705,19 +687,15 @@ class HodMonitors:
         received = eng.inboxes[base]
         regionals = sorted(topo.regional_by_region.values())
         for t, packet in received:
-            if packet.src in self.regional_last_seen:
-                self.regional_last_seen[packet.src] = window
+            if packet.src in regionals:
+                self.last_seen[packet.src] = window
             if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
                 self._base_record(_relayed_copy(packet.payload["alert"], base), t)
-            elif packet.kind is PacketKind.REGIONAL_ALARM and "counts" in packet.payload:
-                eng.log.aggregated_alarms.append(
-                    {"src": packet.src, "arrival_us": t, **packet.payload}
-                )
         evals = 0
         for regional in regionals:
             evals += 1
             for alert in watchdog_check(
-                topo, base, regional, window, eng.now, self.regional_last_seen[regional], self.thresholds
+                topo, base, regional, window, eng.now, self.last_seen[regional], self.thresholds
             ):
                 self._log_alert(alert)
                 self._base_record(alert, eng.now)
@@ -725,10 +703,17 @@ class HodMonitors:
 
     def _base_record(self, alert: Alert, arrival: SimTime) -> None:
         """Enter an alert into the base's ledger unless its dedup key is already there."""
-        key = alert.dedup_key()
-        if key not in self.base_seen_keys:
-            self.base_seen_keys.add(key)
+        if self._first_sight(self.engine.topology.base_id, alert):
             self.engine.log.base_received.append(BaseAlertRecord(alert=alert, base_arrival_us=arrival))
+
+    def _first_sight(self, node: int, alert: Alert) -> bool:
+        """Note alert's dedup key at node; True if node had not taken it in before."""
+        seen = self.seen_keys[node]
+        key = alert.dedup_key()
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
 
     # ----------------------------------------------------------- data reports
 
@@ -770,6 +755,7 @@ class FlatMonitors:
 
     def on_window_end(self, engine: Engine, window: int) -> None:
         topo = engine.topology
+        stats = engine.log.window_stats[window]
         for sensor in topo.sensor_ids():
             found, evals = cluster_pipeline(
                 engine,
@@ -778,7 +764,7 @@ class FlatMonitors:
                 sensor,
                 window,
                 engine.overheard[sensor],
-                engine.current_window_stats[topo.node(sensor).cell],
+                stats[topo.node(sensor).cell],
             )
             for a in found:
                 engine.log.flat_anomalies.append(a)

@@ -10,6 +10,13 @@ lists) and sends its own protocol traffic through Engine.send; the engine only
 fills the registered buffers with (time, packet) entries and clears them after
 each window.
 
+Windows: at each aggregation-window boundary the engine closes the window's
+per-cell channel statistics (data sends, deliveries, PDR, mean idle RSSI at
+the cluster node, mean carrier-sense time) into RunLog.window_stats, indexed
+[window][cell], charges every node its idle cost, and then calls the monitor
+hook.  Monitors read the statistics of any closed window from that one store
+and keep no copy of their own.
+
 Radio: log-distance path loss with optional gaussian shadowing per
 transmission.  A packet is delivered iff its sampled RSSI clears the receiver
 sensitivity and the signal-to-interference ratio clears the SINR threshold
@@ -41,7 +48,7 @@ from .mac import (
     is_awake,
     next_compliant_slot,
 )
-from .topology import HexCoord, NodeRole, Topology
+from .topology import HexCoord, NodeRole, Topology, suspect_node
 
 SimTime = int  # microseconds
 
@@ -223,9 +230,8 @@ class RunLog:
     ground_truth: list[GroundTruthEvent] = field(default_factory=list)
     alerts: list[Any] = field(default_factory=list)  # detection.Alert, generation order
     base_received: list[Any] = field(default_factory=list)  # detection.BaseAlertRecord
-    aggregated_alarms: list[dict[str, Any]] = field(default_factory=list)
     flat_anomalies: list[Any] = field(default_factory=list)  # detection.Alert, flat mode
-    window_stats: list[ChannelWindowStats] = field(default_factory=list)
+    window_stats: list[dict[HexCoord, ChannelWindowStats]] = field(default_factory=list)  # [window][cell]
     meters: dict[int, EnergyMeter] = field(default_factory=dict)
     counters: dict[int, MessageCounters] = field(default_factory=dict)
     delivered_to: dict[int, int] = field(default_factory=dict)  # packet id -> last receiver
@@ -278,6 +284,12 @@ class WorkloadConfig:
     report_interval_us: int = 1_000_000
     jitter_frac: float = 0.1
     sensors_enabled: bool = True
+
+    def __post_init__(self) -> None:
+        if self.report_interval_us <= 0:
+            raise ValueError("report_interval_us must be > 0")
+        if self.jitter_frac < 0:
+            raise ValueError("jitter_frac must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -392,7 +404,6 @@ class Engine:
         # receive buffers, registered by the attached monitor
         self.inboxes: dict[int, list[tuple[SimTime, Packet]]] = {}
         self.overheard: dict[int, list[tuple[SimTime, Packet]]] = {}
-        self.current_window_stats: dict[HexCoord, ChannelWindowStats] = {}
 
     # ------------------------------------------------------------------ utils
 
@@ -692,7 +703,7 @@ class Engine:
         radio = self.config.radio
         w_start = window * self.config.aggregation_window_us
         ticks = max(1, self.config.aggregation_window_us // self.config.sensing_tick_us)
-        self.current_window_stats = {}
+        by_cell: dict[HexCoord, ChannelWindowStats] = {}
         for cell in self.topology.cells:
             cluster = self.topology.node(self.topology.cluster_of(cell))
             samples = []
@@ -705,7 +716,7 @@ class Engine:
             cs = self._cell_cs_samples[cell]
             sent = self._cell_sent[cell]
             delivered = self._cell_delivered[cell]
-            stats = ChannelWindowStats(
+            by_cell[cell] = ChannelWindowStats(
                 cell=cell,
                 window=window,
                 sent=sent,
@@ -714,11 +725,10 @@ class Engine:
                 mean_idle_rssi_dbm=sum(samples) / len(samples),
                 mean_carrier_sense_us=(sum(cs) / len(cs)) if cs else float(radio.cs_turnaround_us),
             )
-            self.current_window_stats[cell] = stats
-            self.log.window_stats.append(stats)
             self._cell_sent[cell] = 0
             self._cell_delivered[cell] = 0
             self._cell_cs_samples[cell] = []
+        self.log.window_stats.append(by_cell)
 
     def _window_boundary(self, window: int) -> None:
         self._collect_window_stats(window)
@@ -776,7 +786,7 @@ class Engine:
                 GroundTruthEvent(
                     time_us=t,
                     kind="RouteDeviation",
-                    target=f"node:{sensor}",
+                    target=suspect_node(sensor),
                     detail=f"detour via node {relay}",
                     packet_id=pid,
                 )

@@ -38,6 +38,15 @@ def hex_distance(a: HexCoord, b: HexCoord) -> int:
     return (abs(dq) + abs(dr) + abs(dq + dr)) // 2
 
 
+# The suspect strings that alerts and ground truth name a node or a cell by.
+def suspect_node(node_id: int) -> str:
+    return f"node:{node_id}"
+
+
+def suspect_cell(cell: HexCoord) -> str:
+    return f"cell:{cell.q},{cell.r}"
+
+
 def hex_neighbors(c: HexCoord) -> list[HexCoord]:
     """The six adjacent cells, in fixed HEX_DIRS order."""
     return [HexCoord(c.q + dq, c.r + dr) for dq, dr in HEX_DIRS]

@@ -65,9 +65,8 @@ def serialize_log(log):
     parts.extend(repr(g) for g in log.ground_truth)
     parts.extend(repr(a) for a in log.alerts)
     parts.extend(repr(r) for r in log.base_received)
-    parts.extend(repr(a) for a in log.aggregated_alarms)
     parts.extend(repr(a) for a in log.flat_anomalies)
-    parts.extend(repr(w) for w in log.window_stats)
+    parts.extend(repr(s) for by_cell in log.window_stats for s in by_cell.values())
     parts.extend(f"{nid}:{log.meters[nid]!r}" for nid in sorted(log.meters))
     parts.extend(f"{nid}:{log.counters[nid]!r}" for nid in sorted(log.counters))
     return "\n".join(parts)

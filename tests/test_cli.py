@@ -134,6 +134,22 @@ class TestExitCodes:
         assert "must have the keys q and r" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # sensors stay disabled, so a regression that plans the workload cannot hang
+            ("sensors_enabled: false\n  report_interval_us: 0", "report_interval_us must be > 0"),
+            ('sensors_enabled: "no"', "'workload.sensors_enabled' must be true or false"),
+        ],
+    )
+    def test_bad_scalar_value_is_usage_error(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(SCENARIO.replace("sensors_enabled: false", line), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(str(bad), out, "--seed", "1") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(str(tmp_path / "absent.yaml"), tmp_path / "out") == 2
         assert "error:" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Scenario configuration: strict parsing, canonical echo, stable hashing."""
 
+import re
+
 import pytest
 
 from hodsim.attacks import AttackKind
@@ -116,9 +118,68 @@ class TestStrictParsing:
         assert ScenarioConfig.from_yaml("compare_tolerance: 0\n").compare_tolerance == 0.0
         assert ScenarioConfig.from_yaml("compare_tolerance: 1\n").compare_tolerance == 1.0
 
+    # the timing values a run divides by or steps by; report_interval_us <= 0 used to loop forever
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("workload", "report_interval_us", 0),
+            ("workload", "report_interval_us", -1),
+            ("workload", "jitter_frac", -0.5),
+            ("sim", "aggregation_window_us", 0),
+            ("sim", "aggregation_window_us", -5),
+            ("sim", "sensing_tick_us", 0),
+            ("sim", "horizon_windows", 0),
+            ("sim", "drain_us", -1),
+        ],
+    )
+    def test_timing_values_must_be_positive(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"invalid section '{section}': {key} must be"):
+            ScenarioConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize(
+        "section, key, value, kind",
+        [
+            ("topology", "rings", 1.5, "an integer"),
+            ("topology", "rings", True, "an integer"),
+            ("topology", "sensors_per_cell", 2.0, "an integer"),
+            ("sim", "horizon_windows", 2.5, "an integer"),
+            ("detect", "vote_k", 1.5, "an integer"),
+            ("radio", "airtime_us", 1.5, "an integer"),
+            ("energy", "packet_size_bits", 1.5, "an integer"),
+            ("mac", "frame_length", 2.0, "an integer"),
+            ("attacks", "packet_count", 2.0, "an integer"),
+            ("radio", "short_range_m", "abc", "a number"),
+            ("topology", "cell_radius_m", "abc", "a number"),
+            ("detect", "idle_rssi_max_dbm", True, "a number"),
+            ("workload", "sensors_enabled", "no", "true or false"),
+            ("radio", "long_range_reliable", 0, "true or false"),
+        ],
+    )
+    def test_scalars_match_their_declared_type(self, section, key, value, kind):
+        if section == "attacks":
+            data = {"attacks": [{"kind": "SlotSpoof", "start_us": 0, "end_us": 1, key: value}]}
+            section = "attacks[0]"
+        else:
+            data = {section: {key: value}}
+        message = f"'{section}.{key}' must be {kind}, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig.from_dict(data)
+
+    def test_float_fields_take_ints_and_optional_fields_take_null(self):
+        sc = ScenarioConfig.from_dict(
+            {"topology": {"cell_radius_m": 50}, "mac": {"frame_length": None}}
+        )
+        # kept as given, not converted, so the echo and the scenario hash stay as they were
+        assert type(sc.topology.cell_radius_m) is int
+        assert sc.mac.frame_length is None
+
     def test_threshold_validation_becomes_config_error(self):
         with pytest.raises(ConfigError, match="invalid section 'detect'"):
             ScenarioConfig.from_dict({"detect": {"pdr_min": 2.0}})
+        # a span under one window matches nothing, so every detection rate would read 0
+        for count in (0, -2):
+            with pytest.raises(ConfigError, match="match_window_count must be >= 1"):
+                ScenarioConfig.from_dict({"detect": {"match_window_count": count}})
 
     def test_invalid_yaml_text(self):
         with pytest.raises(ConfigError, match="not valid YAML"):

@@ -328,8 +328,11 @@ class TestEngineMechanics:
         assert len(idle) == 3 * n_nodes
         for node in eng.topology.nodes:
             assert eng.log.meters[node.node_id].idle_j == pytest.approx(3e-6, rel=1e-12)
-        # per-cell stats recorded every window
-        assert len(eng.log.window_stats) == 3 * len(eng.topology.cells)
+        # per-cell stats recorded every window, indexed [window][cell]
+        assert len(eng.log.window_stats) == 3
+        for w, by_cell in enumerate(eng.log.window_stats):
+            assert sorted(by_cell) == sorted(eng.topology.cells)
+            assert all(s.window == w and s.cell == c for c, s in by_cell.items())
 
     def test_carrier_sense_baseline_and_busy(self):
         eng = make_engine()
@@ -353,8 +356,9 @@ class TestEngineMechanics:
             horizon_windows=4,
         )
         eng.run()
-        for ws in eng.log.window_stats:
-            assert ws.pdr == 1.0
+        for by_cell in eng.log.window_stats:
+            for ws in by_cell.values():
+                assert ws.pdr == 1.0
 
     def test_energy_ledger_audit(self):
         eng = make_engine(sensors_per_cell=4, workload=WorkloadConfig(), horizon_windows=4)
