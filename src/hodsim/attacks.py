@@ -33,7 +33,6 @@ from .simcore import (
     Engine,
     GroundTruthEvent,
     InterferenceSource,
-    Packet,
     PacketKind,
 )
 from .mac import is_awake, slot_owner_at
@@ -132,19 +131,6 @@ def inject_jamming(engine: Engine, spec: AttackSpec, rng: random.Random) -> None
     )
 
 
-def _spoof_packet(engine: Engine, victim: int, cluster: int, pos: tuple[float, float], t: int) -> Packet:
-    return Packet(
-        packet_id=engine.next_packet_id(),
-        kind=PacketKind.ATTACK_TRAFFIC,
-        src=victim,  # forged link-layer identity
-        origin=victim,
-        dst=cluster,
-        created_at=t,
-        size_bits=engine.config.energy.packet_size_bits,
-        phantom_pos=pos,
-    )
-
-
 def _schedule_forgeries(
     engine: Engine,
     spec: AttackSpec,
@@ -163,7 +149,8 @@ def _schedule_forgeries(
         t = _sample_time(rng, spec, accept, fallback, kind)
         times.append(t)
     for t in sorted(times):
-        packet = _spoof_packet(engine, victim, cluster, pos, t)
+        # forged link-layer identity, sent from the attacker's position
+        packet = engine.new_packet(PacketKind.ATTACK_TRAFFIC, victim, cluster, t, phantom_pos=pos)
         engine.log.ground_truth.append(
             GroundTruthEvent(
                 time_us=t,

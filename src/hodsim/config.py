@@ -38,6 +38,14 @@ class TopologyConfig:
     sensors_per_cell: int = 6
     cell_radius_m: float = 50.0
 
+    def __post_init__(self) -> None:
+        if self.rings < 0:
+            raise ValueError("rings must be >= 0")
+        if self.sensors_per_cell < 1:
+            raise ValueError("sensors_per_cell must be >= 1")
+        if not self.cell_radius_m > 0:
+            raise ValueError("cell_radius_m must be > 0")
+
 
 @dataclass(frozen=True)
 class SimSection:
@@ -65,15 +73,21 @@ def _integer(value: Any, key: str) -> int:
 
 
 def _check_type(hint: Any, value: Any, key: str) -> None:
-    """Reject a value that is not of its int, float or bool field's type (`X | None` allows None)."""
+    """Reject a value that is not of its int, float or bool field's type (`X | None` allows None).
+
+    A float field must also be finite.
+    """
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         if value is None:
             return
         hint = next(a for a in typing.get_args(hint) if a is not type(None))
     if hint is int:
         _integer(value, key)
-    elif hint is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    elif hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"'{key}' must be a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"'{key}' must be finite, got {value!r}")
     elif hint is bool and not isinstance(value, bool):
         raise ConfigError(f"'{key}' must be true or false, got {value!r}")
 
@@ -204,6 +218,13 @@ class ScenarioConfig:
         for name, section_cls in _SECTIONS.items():
             if name in data:
                 kwargs[name] = _build(section_cls, data[name], name)
+        topology = kwargs.get("topology", TopologyConfig())
+        frame_length = kwargs.get("mac", MacConfig()).frame_length
+        if frame_length is not None and frame_length < topology.sensors_per_cell:
+            raise ConfigError(
+                f"'mac.frame_length' ({frame_length}) must be >= 'topology.sensors_per_cell' "
+                f"({topology.sensors_per_cell}): every sensor needs a slot"
+            )
         raw_attacks = data.get("attacks", [])
         if raw_attacks is None:
             raw_attacks = []

@@ -37,7 +37,7 @@ import dataclasses
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
 from .mac import SmacSchedule, TdmaSchedule, is_sleep_violation, is_slot_violation, slot_owner_at
 from .simcore import (
@@ -51,7 +51,6 @@ from .simcore import (
     RadioModel,
     RunLog,
     SimTime,
-    TraceEvent,
 )
 from .topology import HexCoord, NodeRole, Topology, suspect_cell, suspect_node
 
@@ -426,15 +425,6 @@ def watchdog_check(
     return alerts
 
 
-def aggregate_alarm_counts(alerts: Iterable[Alert]) -> dict[str, dict[str, int]]:
-    """Per-rule, per-suspect counts for the regional aggregated alarm."""
-    counts: dict[str, dict[str, int]] = {}
-    for a in alerts:
-        by_suspect = counts.setdefault(a.rule.value, {})
-        by_suspect[a.suspect] = by_suspect.get(a.suspect, 0) + 1
-    return counts
-
-
 # ============================================================================
 # The monitor layers driving the engine hooks
 # ============================================================================
@@ -442,19 +432,12 @@ def aggregate_alarm_counts(alerts: Iterable[Alert]) -> dict[str, dict[str, int]]
 
 def _trace_finding(eng: Engine, alert: Alert, event_kind: str) -> None:
     """Trace one finding: event_kind is 'alert' (hod) or 'anomaly' (flat)."""
-    eng.log.events.append(
-        TraceEvent(
-            time_us=eng.now,
-            event_kind=event_kind,
-            src=alert.detected_by,
-            dst=None,
-            cell=eng.topology.node(alert.detected_by).cell,
-            outcome=alert.rule.value,
-            rssi_dbm=None,
-            energy_uj=0.0,
-            packet_id=alert.packet_id,
-            pkt_kind=alert.suspect,
-        )
+    eng.trace_node_event(
+        alert.detected_by,
+        event_kind,
+        outcome=alert.rule.value,
+        packet_id=alert.packet_id,
+        pkt_kind=alert.suspect,
     )
 
 
@@ -470,23 +453,18 @@ def _send(
     mac_exempt: bool = False,
 ) -> int:
     """Send one monitor message now (IDS control plane by default); returns its packet id."""
-    pid = eng.next_packet_id()
-    eng.send(
-        Packet(
-            packet_id=pid,
-            kind=kind,
-            src=src,
-            origin=src,
-            dst=dst,
-            created_at=eng.now,
-            size_bits=eng.config.energy.packet_size_bits,
-            payload=payload,
-            control=control,
-            long_range=long_range,
-            mac_exempt=mac_exempt,
-        )
+    packet = eng.new_packet(
+        kind,
+        src,
+        dst,
+        eng.now,
+        payload=payload,
+        control=control,
+        long_range=long_range,
+        mac_exempt=mac_exempt,
     )
-    return pid
+    eng.send(packet)
+    return packet.packet_id
 
 
 def _relayed_copy(alert: Alert, node: int) -> Alert:
@@ -664,18 +642,9 @@ class HodMonitors:
             return  # keeps reporting (data plane) but suppresses every alert
 
         base = topo.base_id
-        relayed = incoming + own
-        for alert in relayed:
+        for alert in incoming + own:
             _send(eng, regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert}, long_range=True)
-        counts = aggregate_alarm_counts(relayed)
-        _send(
-            eng,
-            regional,
-            base,
-            PacketKind.REGIONAL_ALARM,
-            {"window": window, "counts": counts},
-            long_range=True,
-        )
+        _send(eng, regional, base, PacketKind.REGIONAL_ALARM, {"window": window}, long_range=True)
         _send(eng, regional, base, PacketKind.HEARTBEAT, {"window": window}, long_range=True)
 
     # ------------------------------------------------------------------- base

@@ -17,6 +17,14 @@ the cluster node, mean carrier-sense time) into RunLog.window_stats, indexed
 hook.  Monitors read the statistics of any closed window from that one store
 and keep no copy of their own.
 
+Hops: Engine.send decides every fact about a hop once (the true transmit
+position, the cell it is traced and counted in, whether it counts toward that
+cell's PDR, whether it contends for a cluster's channel, its sampled RSSI) and
+carries them on the hop's _PendingTx record; resolution, delivery and
+overhearing read the record and decide nothing again.  One writer traces every
+hop row (tx, drop, rx, overheard rx) and one every node row (idle and rule_eval
+charges, findings).
+
 Radio: log-distance path loss with optional gaussian shadowing per
 transmission.  A packet is delivered iff its sampled RSSI clears the receiver
 sensitivity and the signal-to-interference ratio clears the SINR threshold
@@ -38,7 +46,7 @@ import enum
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .mac import (
@@ -80,6 +88,15 @@ class RadioModel:
     cs_turnaround_us: int = 128
     cs_busy_wait_us: int = 5000
 
+    def __post_init__(self) -> None:
+        # written as not (x > 0) so that a NaN fails too
+        for key in ("airtime_us", "per_hop_latency_us", "short_range_m", "path_loss_exponent"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0")
+        for key in ("shadowing_sigma_db", "cs_turnaround_us", "cs_busy_wait_us"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0")
+
     def path_loss_db(self, distance_m: float) -> float:
         # distances under the 1 m reference are clamped to the reference
         d = max(distance_m, 1.0)
@@ -109,6 +126,13 @@ class EnergyModel:
     rule_eval_j: float = 5e-6
     idle_j_per_window: float = 1e-6
     packet_size_bits: int = 512
+
+    def __post_init__(self) -> None:
+        if self.packet_size_bits <= 0:
+            raise ValueError("packet_size_bits must be > 0")
+        for key in ("e_elec_j_per_bit", "e_amp_j_per_bit_m2", "rule_eval_j", "idle_j_per_window"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0")
 
     def tx_energy_j(self, bits: int, distance_m: float) -> float:
         return self.e_elec_j_per_bit * bits + self.e_amp_j_per_bit_m2 * bits * distance_m**2
@@ -278,6 +302,14 @@ class MacConfig:
     awake_fraction: float = 0.5
     phase_offset_us: int = 0
 
+    def __post_init__(self) -> None:
+        if self.slot_duration_us <= 0:
+            raise ValueError("slot_duration_us must be > 0")
+        if self.smac_period_us is not None and self.smac_period_us <= 0:
+            raise ValueError("smac_period_us must be > 0")
+        if not 0.0 < self.awake_fraction <= 1.0:
+            raise ValueError("awake_fraction must be in (0, 1]")
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -318,12 +350,19 @@ class CompromiseMode(enum.Enum):
     FALSE_DATA = "FalseData"
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingTx:
+    """One hop from send to delivery, carrying every fact Engine.send decided about it."""
+
     start_us: SimTime
     end_us: SimTime
     packet: Packet
-    rssi_dbm: float
+    transmitter: int | None  # the metered node keying the radio; None for a phantom
+    tx_pos: tuple[float, float]  # true transmit position (the forger's, for a phantom)
+    cell: HexCoord | None  # sender's cell, or the claimed origin's for a phantom
+    counted: bool  # counts toward its cell's sent/delivered totals
+    contends: bool  # in-range data send into a cluster: enters its collision table
+    rssi_dbm: float | None  # None on the reliable long-range channel (no shadowing draw)
     in_range: bool
 
 
@@ -355,6 +394,9 @@ class Engine:
         self._jitter_rng = random.Random(f"{seed}|jitter")
         self._idle_rng = random.Random(f"{seed}|idle-rssi")
         self._packet_seq = 0
+        # one position tuple per node, shared by the records of every hop it
+        # transmits: a new tuple per hop in flight would add collector work
+        self._positions = [(n.x, n.y) for n in topology.nodes]
 
         # per-cell schedules
         self.tdma: dict[HexCoord, TdmaSchedule] = {}
@@ -412,6 +454,19 @@ class Engine:
         self._packet_seq += 1
         return pid
 
+    def new_packet(self, kind: PacketKind, src: int, dst: int, created_at: SimTime, **flags: Any) -> Packet:
+        """A packet from src with the next id and the configured size; its origin is src."""
+        return Packet(
+            packet_id=self.next_packet_id(),
+            kind=kind,
+            src=src,
+            origin=src,
+            dst=dst,
+            created_at=created_at,
+            size_bits=self.config.energy.packet_size_bits,
+            **flags,
+        )
+
     def schedule(self, t: SimTime, action: Callable[[], None]) -> None:
         self.queue.schedule(self.now, t, action)
 
@@ -437,22 +492,62 @@ class Engine:
                 levels.append(self.config.radio.deterministic_rssi(d, src.power_dbm))
         return power_sum_dbm(*levels) if len(levels) > 1 else levels[0]
 
-    # ----------------------------------------------------------------- energy
+    # ------------------------------------------------------------------ trace
 
-    def _log_charge(self, node_id: int, event_kind: str, joules: float) -> None:
-        """Trace a charge that no packet event carries (idle, rule_eval)."""
+    def _trace_hop(
+        self,
+        event_kind: str,
+        packet: Packet,
+        dst: int,
+        cell: HexCoord | None,
+        outcome: str,
+        rssi: float | None,
+        joules: float,
+        control: bool = False,
+    ) -> None:
+        """Trace one hop event: tx, drop, rx or overheard rx."""
         self.log.events.append(
             TraceEvent(
                 time_us=self.now,
                 event_kind=event_kind,
-                src=node_id,
-                dst=None,
-                cell=self.topology.node(node_id).cell,
-                outcome="",
-                rssi_dbm=None,
+                src=packet.src,
+                dst=dst,
+                cell=cell,
+                outcome=outcome,
+                rssi_dbm=rssi,
                 energy_uj=joules * 1e6,
+                packet_id=packet.packet_id,
+                pkt_kind=packet.kind.value,
+                control=control,
             )
         )
+
+    def trace_node_event(
+        self,
+        node: int,
+        kind: str,
+        joules: float = 0.0,
+        outcome: str = "",
+        packet_id: int | None = None,
+        pkt_kind: str = "",
+    ) -> None:
+        """Trace one node's event that no hop carries: an idle or rule_eval charge, or a finding."""
+        self.log.events.append(
+            TraceEvent(
+                time_us=self.now,
+                event_kind=kind,
+                src=node,
+                dst=None,
+                cell=self.topology.node(node).cell,
+                outcome=outcome,
+                rssi_dbm=None,
+                energy_uj=joules * 1e6,
+                packet_id=packet_id,
+                pkt_kind=pkt_kind,
+            )
+        )
+
+    # ----------------------------------------------------------------- energy
 
     def charge_rule_evals(self, node_id: int, count: int) -> None:
         """Fixed per-rule-evaluation cost on the evaluating node."""
@@ -460,7 +555,7 @@ class Engine:
             return
         joules = self.config.energy.rule_eval_j * count
         self.log.meters[node_id].rule_eval_j += joules
-        self._log_charge(node_id, "rule_eval", joules)
+        self.trace_node_event(node_id, "rule_eval", joules)
 
     # ------------------------------------------------------------------- send
 
@@ -469,11 +564,12 @@ class Engine:
 
         Silent-compromised nodes transmit nothing.  The sender pays transmit
         energy whether or not the packet will be delivered; delivery resolves
-        one hop latency later.
+        one hop latency later.  Every fact about the hop is decided here and
+        carried on its _PendingTx record to delivery.
         """
         radio = self.config.radio
-        src_node = None
         if packet.phantom_pos is None:
+            transmitter: int | None = packet.src
             src_node = self.topology.node(packet.src)
             if self.compromise_mode_at(packet.src, self.now) is CompromiseMode.SILENT:
                 return False
@@ -483,56 +579,58 @@ class Engine:
                     raise AssertionError(
                         f"sensor {packet.src} transmitting outside wake window at {self.now}"
                     )
-        tx_pos = packet.phantom_pos if packet.phantom_pos is not None else (src_node.x, src_node.y)
+            tx_pos = self._positions[packet.src]
+            cell = src_node.cell
+        else:
+            transmitter = None  # external attacker hardware is not metered
+            tx_pos = packet.phantom_pos
+            cell = self.topology.node(packet.origin).cell
+        counted = transmitter is not None and cell is not None and not packet.long_range
         dst_node = self.topology.node(packet.dst)
         distance = math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y)
 
-        cell = src_node.cell if src_node is not None else None
-        if src_node is not None:
+        energy = 0.0
+        if transmitter is not None:
             energy = self.config.energy.tx_energy_j(packet.size_bits, distance)
-            self.log.meters[packet.src].tx_j += energy
-            counters = self.log.counters[packet.src]
-            counters.sent[packet.kind.value] = counters.sent.get(packet.kind.value, 0) + 1
+            self.log.meters[transmitter].tx_j += energy
+            counters = self.log.counters[transmitter]
+            kind = packet.kind.value
+            counters.sent[kind] = counters.sent.get(kind, 0) + 1
             if packet.control:
                 counters.control_sent += 1
-            if cell is not None and not packet.long_range:
+            if counted:
                 self._cell_sent[cell] += 1
                 if src_node.role is NodeRole.CLUSTER:
                     self._record_carrier_sense(cell, tx_pos)
-        else:
-            energy = 0.0  # external attacker hardware is not metered
-
-        self.log.events.append(
-            TraceEvent(
-                time_us=self.now,
-                event_kind="tx",
-                src=packet.src,
-                dst=packet.dst,
-                cell=cell if cell is not None else self.topology.node(packet.origin).cell,
-                outcome="",
-                rssi_dbm=None,
-                energy_uj=energy * 1e6,
-                packet_id=packet.packet_id,
-                pkt_kind=packet.kind.value,
-                control=packet.control,
-            )
-        )
+        self._trace_hop("tx", packet, packet.dst, cell, "", None, energy, control=packet.control)
 
         if packet.long_range and radio.long_range_reliable:
-            self.schedule(self.now + radio.per_hop_latency_us, lambda: self._deliver(packet, None))
-            return True
-
-        rssi = radio.rssi_at(distance, self._shadow_rng)
-        pending = _PendingTx(
-            start_us=self.now,
-            end_us=self.now + radio.airtime_us,
-            packet=packet,
-            rssi_dbm=rssi,
-            in_range=rssi >= radio.rx_sensitivity_dbm,
+            rssi, in_range, contends = None, True, False
+        else:
+            rssi = radio.rssi_at(distance, self._shadow_rng)
+            in_range = rssi >= radio.rx_sensitivity_dbm
+            contends = in_range and not packet.control and dst_node.role is NodeRole.CLUSTER
+        # positional, in field order: one per send, and keyword matching
+        # would cost more than the rest of the constructor
+        hop = _PendingTx(
+            self.now,
+            self.now + radio.airtime_us,
+            packet,
+            transmitter,
+            tx_pos,
+            cell,
+            counted,
+            contends,
+            rssi,
+            in_range,
         )
-        if pending.in_range and not packet.control and dst_node.role is NodeRole.CLUSTER:
-            self._contending.setdefault(packet.dst, []).append(pending)
-        self.schedule(self.now + radio.per_hop_latency_us, lambda: self._resolve(pending))
+        if contends:
+            self._contending.setdefault(packet.dst, []).append(hop)
+        t_arrive = self.now + radio.per_hop_latency_us
+        if rssi is None:  # the reliable long-range channel always delivers
+            self.schedule(t_arrive, lambda: self._deliver(hop))
+        else:
+            self.schedule(t_arrive, lambda: self._resolve(hop))
         return True
 
     def _record_carrier_sense(self, cell: HexCoord, pos: tuple[float, float]) -> None:
@@ -543,89 +641,51 @@ class Engine:
             wait += radio.cs_busy_wait_us
         self._cell_cs_samples[cell].append(wait)
 
-    def _collides(self, pending: _PendingTx) -> bool:
-        # slot collisions only matter on the shared data channel into a cluster;
-        # an in-range data send to a cluster is in its own receiver's table
-        if pending.packet.control:
+    def _collides(self, hop: _PendingTx) -> bool:
+        # slot collisions only matter on the shared data channel into a cluster
+        if not hop.contends:
             return False
-        for other in self._contending.get(pending.packet.dst, ()):
-            if other is pending:
-                continue
-            if other.start_us < pending.end_us and other.end_us > pending.start_us:
+        for other in self._contending[hop.packet.dst]:
+            if other is not hop and other.start_us < hop.end_us and other.end_us > hop.start_us:
                 return True
         return False
 
-    def _resolve(self, pending: _PendingTx) -> None:
+    def _resolve(self, hop: _PendingTx) -> None:
         radio = self.config.radio
-        packet = pending.packet
+        packet = hop.packet
         dst_node = self.topology.node(packet.dst)
         outcome = Outcome.DELIVERED
-        if not pending.in_range:
+        if not hop.in_range:
             outcome = Outcome.OUT_OF_RANGE
         else:
-            interference = self.interference_dbm_at(
-                dst_node.x, dst_node.y, pending.start_us, pending.end_us
-            )
-            if pending.rssi_dbm - interference < radio.sinr_threshold_db:
+            interference = self.interference_dbm_at(dst_node.x, dst_node.y, hop.start_us, hop.end_us)
+            if hop.rssi_dbm - interference < radio.sinr_threshold_db:
                 outcome = Outcome.JAMMED
-            elif self._collides(pending):
+            elif self._collides(hop):
                 outcome = Outcome.COLLISION
 
-        src_node = self.topology.node(packet.src) if packet.phantom_pos is None else None
-        cell = src_node.cell if src_node is not None else self.topology.node(packet.origin).cell
         if outcome is Outcome.DELIVERED:
-            self._deliver(packet, pending.rssi_dbm, cell_of_tx=cell, counted=src_node is not None)
+            self._deliver(hop)
         else:
-            self.log.events.append(
-                TraceEvent(
-                    time_us=self.now,
-                    event_kind="drop",
-                    src=packet.src,
-                    dst=packet.dst,
-                    cell=cell,
-                    outcome=outcome.value,
-                    rssi_dbm=pending.rssi_dbm,
-                    energy_uj=0.0,
-                    packet_id=packet.packet_id,
-                    pkt_kind=packet.kind.value,
-                )
-            )
-        self._overhear(pending)
+            self._trace_hop("drop", packet, packet.dst, hop.cell, outcome.value, hop.rssi_dbm, 0.0)
+        self._overhear(hop)
         # Every hop resolves one latency after it starts, so every send still
         # unresolved started no earlier than this one: an entry that ended
         # before this one started can collide with nothing any more.
         lst = self._contending.get(packet.dst)
         if lst is not None:
-            self._contending[packet.dst] = [p for p in lst if p.end_us > pending.start_us]
+            self._contending[packet.dst] = [p for p in lst if p.end_us > hop.start_us]
 
-    def _deliver(
-        self,
-        packet: Packet,
-        rssi: float | None,
-        cell_of_tx: HexCoord | None = None,
-        counted: bool = True,
-    ) -> None:
-        packet.path_so_far.append(packet.dst)
+    def _deliver(self, hop: _PendingTx) -> None:
+        packet = hop.packet
         dst = packet.dst
+        packet.path_so_far.append(dst)
         rx_j = self.config.energy.rx_energy_j(packet.size_bits)
         self.log.meters[dst].rx_j += rx_j
-        if counted and cell_of_tx is not None and not packet.long_range:
-            self._cell_delivered[cell_of_tx] += 1
+        if hop.counted:
+            self._cell_delivered[hop.cell] += 1
         self.log.delivered_to[packet.packet_id] = dst
-        self.log.events.append(
-            TraceEvent(
-                time_us=self.now,
-                event_kind="rx",
-                src=packet.src,
-                dst=dst,
-                cell=cell_of_tx,
-                outcome=Outcome.DELIVERED.value,
-                rssi_dbm=rssi,
-                energy_uj=rx_j * 1e6,
-                packet_id=packet.packet_id,
-                pkt_kind=packet.kind.value,
-            )
-        )
+        self._trace_hop("rx", packet, dst, hop.cell, Outcome.DELIVERED.value, hop.rssi_dbm, rx_j)
         if dst in self.inboxes:
             self.inboxes[dst].append((self.now, packet))
         dst_node = self.topology.node(dst)
@@ -634,67 +694,37 @@ class Engine:
 
     def _relay_onward(self, packet: Packet, relay: int) -> None:
         """Second hop of a detoured intra-cell route (attack machinery)."""
-        victim = packet.origin
-        cell = self.topology.node(victim).cell
+        cell = self.topology.node(packet.origin).cell
         cluster = self.topology.cluster_of(cell)
         # forwarded inside the victim's own slot so only the route layer fires
-        t = next_compliant_slot(self.tdma[cell], self.smac[cell], victim, self.now)
-        hop2 = Packet(
-            packet_id=packet.packet_id,
-            kind=packet.kind,
-            src=relay,
-            origin=victim,
-            dst=cluster,
-            created_at=packet.created_at,
-            size_bits=packet.size_bits,
-            path_so_far=packet.path_so_far,
-            payload=packet.payload,
-            mac_exempt=True,
-        )
+        t = next_compliant_slot(self.tdma[cell], self.smac[cell], packet.origin, self.now)
+        hop2 = replace(packet, src=relay, dst=cluster, mac_exempt=True)
         self.schedule(t, lambda: self.send(hop2))
 
-    def _overhear(self, pending: _PendingTx) -> None:
+    def _overhear(self, hop: _PendingTx) -> None:
         """Flat-baseline promiscuous listening on data-plane transmissions."""
         if not self.overheard:
             return
-        packet = pending.packet
+        packet = hop.packet
         if packet.kind not in DATA_KINDS:
             return
         radio = self.config.radio
         rx_j = self.config.energy.rx_energy_j(packet.size_bits)
-        if packet.phantom_pos is not None:
-            tx_pos = packet.phantom_pos
-            true_src = None
-        else:
-            n = self.topology.node(packet.src)
-            tx_pos = (n.x, n.y)
-            true_src = packet.src
+        x, y = hop.tx_pos
+        not_listening = (hop.transmitter, packet.dst)
         for sensor_id in self.overheard:
-            if sensor_id == true_src or sensor_id == packet.dst:
+            if sensor_id in not_listening:
                 continue
             node = self.topology.node(sensor_id)
-            d = math.hypot(tx_pos[0] - node.x, tx_pos[1] - node.y)
+            d = math.hypot(x - node.x, y - node.y)
             det = radio.deterministic_rssi(d)
             if det < radio.rx_sensitivity_dbm:
                 continue
-            interference = self.interference_dbm_at(node.x, node.y, pending.start_us, pending.end_us)
+            interference = self.interference_dbm_at(node.x, node.y, hop.start_us, hop.end_us)
             if det - interference < radio.sinr_threshold_db:
                 continue
             self.log.meters[sensor_id].rx_j += rx_j
-            self.log.events.append(
-                TraceEvent(
-                    time_us=self.now,
-                    event_kind="rx",
-                    src=packet.src,
-                    dst=sensor_id,
-                    cell=node.cell,
-                    outcome="Overheard",
-                    rssi_dbm=det,
-                    energy_uj=rx_j * 1e6,
-                    packet_id=packet.packet_id,
-                    pkt_kind=packet.kind.value,
-                )
-            )
+            self._trace_hop("rx", packet, sensor_id, node.cell, "Overheard", det, rx_j)
             self.overheard[sensor_id].append((self.now, packet))
 
     # ------------------------------------------------------------- run window
@@ -736,7 +766,7 @@ class Engine:
         if idle > 0.0:
             for n in self.topology.nodes:
                 self.log.meters[n.node_id].idle_j += idle
-                self._log_charge(n.node_id, "idle", idle)
+                self.trace_node_event(n.node_id, "idle", idle)
         if self.monitors is not None:
             self.monitors.on_window_end(self, window)
         for inbox in self.inboxes.values():
@@ -768,19 +798,9 @@ class Engine:
 
     def _plan_sensor_send(self, sensor: int, cell: HexCoord, t: SimTime) -> None:
         cluster = self.topology.cluster_of(cell)
-        pid = self.next_packet_id()
         relay = self.route_override_at(sensor, t)
         dst = relay if relay is not None else cluster
-        packet = Packet(
-            packet_id=pid,
-            kind=PacketKind.SENSOR_DATA,
-            src=sensor,
-            origin=sensor,
-            dst=dst,
-            created_at=t,
-            size_bits=self.config.energy.packet_size_bits,
-            payload={"seq": pid},
-        )
+        packet = self.new_packet(PacketKind.SENSOR_DATA, sensor, dst, t)
         if relay is not None:
             self.log.ground_truth.append(
                 GroundTruthEvent(
@@ -788,7 +808,7 @@ class Engine:
                     kind="RouteDeviation",
                     target=suspect_node(sensor),
                     detail=f"detour via node {relay}",
-                    packet_id=pid,
+                    packet_id=packet.packet_id,
                 )
             )
         self.schedule(t, lambda: self.send(packet))

@@ -140,6 +140,8 @@ class TestExitCodes:
             # sensors stay disabled, so a regression that plans the workload cannot hang
             ("sensors_enabled: false\n  report_interval_us: 0", "report_interval_us must be > 0"),
             ('sensors_enabled: "no"', "'workload.sensors_enabled' must be true or false"),
+            # used to fail inside the run with "cannot schedule event at -5" (exit 3)
+            ("sensors_enabled: false\nradio:\n  per_hop_latency_us: -5", "per_hop_latency_us must be > 0"),
         ],
     )
     def test_bad_scalar_value_is_usage_error(self, tmp_path, capsys, line, message):

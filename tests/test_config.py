@@ -165,6 +165,44 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ScenarioConfig.from_dict(data)
 
+    # range errors surface at parse time (exit 2), not as a failure inside the run
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("topology", "rings", -1, "rings must be >= 0"),
+            ("topology", "sensors_per_cell", 0, "sensors_per_cell must be >= 1"),
+            ("topology", "cell_radius_m", -5, "cell_radius_m must be > 0"),
+            ("mac", "awake_fraction", 2.0, "awake_fraction must be in (0, 1]"),
+            ("mac", "slot_duration_us", 0, "slot_duration_us must be > 0"),
+            ("mac", "smac_period_us", 0, "smac_period_us must be > 0"),
+            ("radio", "airtime_us", -1, "airtime_us must be > 0"),
+            ("radio", "short_range_m", -1, "short_range_m must be > 0"),
+            ("radio", "shadowing_sigma_db", -1, "shadowing_sigma_db must be >= 0"),
+            ("radio", "per_hop_latency_us", 0, "per_hop_latency_us must be > 0"),
+            ("radio", "per_hop_latency_us", -5, "per_hop_latency_us must be > 0"),
+            ("radio", "cs_busy_wait_us", -1, "cs_busy_wait_us must be >= 0"),
+            ("energy", "packet_size_bits", 0, "packet_size_bits must be > 0"),
+            ("energy", "e_elec_j_per_bit", -1.0, "e_elec_j_per_bit must be >= 0"),
+        ],
+    )
+    def test_values_out_of_range(self, section, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(f"invalid section '{section}': {message}")):
+            ScenarioConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    def test_float_fields_must_be_finite(self, value):
+        for section, key in [("radio", "path_loss_exponent"), ("topology", "cell_radius_m")]:
+            with pytest.raises(ConfigError, match=re.escape(f"'{section}.{key}' must be finite")):
+                ScenarioConfig.from_yaml(f"{section}: {{{key}: {value}}}\n")
+
+    def test_frame_must_give_every_sensor_a_slot(self):
+        message = "'mac.frame_length' (1) must be >= 'topology.sensors_per_cell' (3)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig.from_dict({"topology": {"sensors_per_cell": 3}, "mac": {"frame_length": 1}})
+        # one slot per sensor is enough
+        sc = ScenarioConfig.from_dict({"topology": {"sensors_per_cell": 3}, "mac": {"frame_length": 3}})
+        assert sc.mac.frame_length == 3
+
     def test_float_fields_take_ints_and_optional_fields_take_null(self):
         sc = ScenarioConfig.from_dict(
             {"topology": {"cell_radius_m": 50}, "mac": {"frame_length": None}}

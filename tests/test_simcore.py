@@ -267,8 +267,12 @@ class TestDeliveryOutcomes:
         eng.schedule(
             0, lambda: eng.send(data_packet(eng, regional, topo.base_id, long_range=True))
         )
-        drain(eng)
+        eng.run()
         assert [o for o, _ in self.outcomes(eng.log)] == ["rx"]
+        # the regional has no cell, and a long-range send counts toward none
+        (rx,) = [e for e in eng.log.events if e.event_kind == "rx"]
+        assert rx.cell is None
+        assert all(s.sent == s.delivered == 0 for s in eng.log.window_stats[0].values())
 
 
 class TestEngineMechanics:
@@ -304,10 +308,16 @@ class TestEngineMechanics:
             phantom_pos=(cx + 5.0, cy),
         )
         eng.schedule(0, lambda: eng.send(pkt))
-        drain(eng)
+        eng.run()
         assert eng.log.counters[victim].total_sent() == 0  # the victim sent nothing
         assert eng.log.meters[victim].tx_j == 0.0
         assert eng.log.delivered_to[pkt.packet_id] == cluster
+        # traced in the victim's cell, but not counted toward its channel statistics
+        rows = [e for e in eng.log.events if e.packet_id == pkt.packet_id]
+        assert [e.event_kind for e in rows] == ["tx", "rx"]
+        assert all(e.cell == cell for e in rows)
+        stats = eng.log.window_stats[0][cell]
+        assert stats.sent == stats.delivered == 0
 
     def test_interference_sums_multiple_sources(self):
         eng = make_engine()
