@@ -160,7 +160,7 @@ def _schedule_forgeries(
                 packet_id=packet.packet_id,
             )
         )
-        engine.schedule(t, (lambda p: lambda: engine.send(p))(packet))
+        engine.schedule(t, engine.send, packet)
 
 
 def _sample_time(rng, spec, accept, fallback, kind, tries: int = 20_000) -> int:

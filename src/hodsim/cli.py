@@ -4,9 +4,10 @@ Runs a scenario file in hierarchical mode, flat-baseline mode, or both
 (compare), over one seed or a seed range, and writes traces, summaries,
 metrics, and the comparison table under the output directory.
 
-Exit codes: 0 on success, 2 for bad usage or an invalid scenario file,
-3 for a failure during simulation or output writing (partially written
-files from the failed invocation are removed).
+Exit codes: 0 on success, 2 for bad usage or an invalid scenario file
+(including an attack spec that does not fit the topology or schedules),
+3 for any other failure during simulation or output writing.  Files already
+written by a failed invocation are removed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import sys
 from pathlib import Path
 
+from .attacks import AttackSpecError
 from .config import ConfigError, ScenarioConfig
 from .detection import base_station_report
 from .metrics import Metrics, compare, rows_to_csv, run_scenario, score
@@ -252,10 +254,10 @@ def main(argv: list[str] | None = None) -> int:
                 outputs.write("comparison.csv", rows_to_csv([r.to_row() for r in reports]))
             if want_text:
                 outputs.write("comparison.txt", "".join(r.to_text() for r in reports))
-    except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, cleans, exits 3
+    except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, cleans, exits 2 or 3
         outputs.discard_all()
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, AttackSpecError) else 3
 
     print(f"wrote {len(outputs.written)} files to {outputs.directory}")
     return 0

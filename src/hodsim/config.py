@@ -104,10 +104,12 @@ def _parse_cell(value: Any, path: str) -> HexCoord:
     raise ConfigError(f"cell coordinate '{path}' must be [q, r] or {{q, r}}, got {value!r}")
 
 
-def _parse_position(value: Any) -> tuple[float, float]:
+def _parse_position(value: Any, path: str) -> tuple[float, float]:
     if isinstance(value, (list, tuple)) and len(value) == 2:
+        for coordinate in value:
+            _check_type(float, coordinate, path)
         return (float(value[0]), float(value[1]))
-    raise ConfigError(f"position must be [x, y], got {value!r}")
+    raise ConfigError(f"'{path}' must be [x, y], got {value!r}")
 
 
 def _build(cls: type, data: Any, path: str, converters: dict[str, Any] | None = None) -> Any:
@@ -146,7 +148,7 @@ def _parse_attack(data: Any, path: str) -> AttackSpec:
         converters={
             "kind": lambda v: v if isinstance(v, AttackKind) else AttackKind(str(v)),
             "cell": lambda v: _parse_cell(v, f"{path}.cell"),
-            "position": _parse_position,
+            "position": lambda v: _parse_position(v, f"{path}.position"),
         },
     )
 

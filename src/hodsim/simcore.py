@@ -1,14 +1,16 @@
 """Deterministic discrete-event core: clock, radio, energy, workload, windows.
 
-Everything runs on an integer microsecond clock.  Events execute in strict
-(time, sequence) order from a binary heap, so identical inputs replay to
-byte-identical logs.  The engine is detection-agnostic: monitor layers (the
-hierarchical overlay or the flat per-sensor baseline) attach as a hook object
-and are invoked once per aggregation window.  A monitor registers the receive
-buffers it reads (cluster and overlay inboxes, or promiscuous overhearing
-lists) and sends its own protocol traffic through Engine.send; the engine only
-fills the registered buffers with (time, packet) entries and clears them after
-each window.
+Everything runs on an integer microsecond clock.  Each event is a handler and
+its one argument (a hop record, a packet or a window index), kept on the
+engine's binary heap as (time, sequence, handler, argument); the engine
+schedules no closures.  Events execute in strict (time, sequence) order, so
+identical inputs replay to byte-identical logs.  The engine is
+detection-agnostic: monitor layers (the hierarchical overlay or the flat
+per-sensor baseline) attach as a hook object and are invoked once per
+aggregation window.  A monitor registers the receive buffers it reads (cluster
+and overlay inboxes, or promiscuous overhearing lists) and sends its own
+protocol traffic through Engine.send; the engine only fills the registered
+buffers with (time, packet) entries and clears them after each window.
 
 Windows: at each aggregation-window boundary the engine closes the window's
 per-cell channel statistics (data sends, deliveries, PDR, mean idle RSSI at
@@ -96,6 +98,13 @@ class RadioModel:
         for key in ("shadowing_sigma_db", "cs_turnaround_us", "cs_busy_wait_us"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} must be >= 0")
+        # a hop resolves one latency after it starts: were its airtime still
+        # running then, a later overlapping send would drop and it would not
+        if not self.per_hop_latency_us >= self.airtime_us:
+            raise ValueError(
+                f"per_hop_latency_us ({self.per_hop_latency_us}) must be >= "
+                f"airtime_us ({self.airtime_us})"
+            )
 
     def path_loss_db(self, distance_m: float) -> float:
         # distances under the 1 m reference are clamped to the reference
@@ -262,34 +271,6 @@ class RunLog:
 
 
 # ============================================================================
-# Event queue
-# ============================================================================
-
-
-class EventQueue:
-    """Min-heap of (time, seq, action); seq breaks ties in schedule order."""
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def schedule(self, now: SimTime, t: SimTime, action: Callable[[], None]) -> None:
-        if t < now:
-            raise ValueError(f"cannot schedule event at {t} before current time {now}")
-        heapq.heappush(self._heap, (t, self._seq, action))
-        self._seq += 1
-
-    def peek_time(self) -> SimTime | None:
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> tuple[SimTime, int, Callable[[], None]]:
-        return heapq.heappop(self._heap)
-
-
-# ============================================================================
 # Scenario-level configuration consumed by the engine
 # ============================================================================
 
@@ -387,7 +368,9 @@ class Engine:
         self.config = config
         self.seed = seed
         self.now: SimTime = 0
-        self.queue = EventQueue()
+        # (time, seq, handler, arg): seq breaks ties in schedule order
+        self._heap: list[tuple[SimTime, int, Callable[[Any], object], Any]] = []
+        self._seq = 0
         self.monitors: Any = None
 
         self._shadow_rng = random.Random(f"{seed}|shadow")
@@ -467,8 +450,12 @@ class Engine:
             **flags,
         )
 
-    def schedule(self, t: SimTime, action: Callable[[], None]) -> None:
-        self.queue.schedule(self.now, t, action)
+    def schedule(self, t: SimTime, handler: Callable[[Any], object], arg: Any) -> None:
+        """Call handler(arg) at time t; equal times fire in schedule order."""
+        if t < self.now:
+            raise ValueError(f"cannot schedule event at {t} before current time {self.now}")
+        heapq.heappush(self._heap, (t, self._seq, handler, arg))
+        self._seq += 1
 
     def compromise_mode_at(self, node_id: int, t: SimTime) -> CompromiseMode | None:
         for start, end, cmode in self.compromise.get(node_id, ()):
@@ -628,9 +615,9 @@ class Engine:
             self._contending.setdefault(packet.dst, []).append(hop)
         t_arrive = self.now + radio.per_hop_latency_us
         if rssi is None:  # the reliable long-range channel always delivers
-            self.schedule(t_arrive, lambda: self._deliver(hop))
+            self.schedule(t_arrive, self._deliver, hop)
         else:
-            self.schedule(t_arrive, lambda: self._resolve(hop))
+            self.schedule(t_arrive, self._resolve, hop)
         return True
 
     def _record_carrier_sense(self, cell: HexCoord, pos: tuple[float, float]) -> None:
@@ -698,8 +685,7 @@ class Engine:
         cluster = self.topology.cluster_of(cell)
         # forwarded inside the victim's own slot so only the route layer fires
         t = next_compliant_slot(self.tdma[cell], self.smac[cell], packet.origin, self.now)
-        hop2 = replace(packet, src=relay, dst=cluster, mac_exempt=True)
-        self.schedule(t, lambda: self.send(hop2))
+        self.schedule(t, self.send, replace(packet, src=relay, dst=cluster, mac_exempt=True))
 
     def _overhear(self, hop: _PendingTx) -> None:
         """Flat-baseline promiscuous listening on data-plane transmissions."""
@@ -811,7 +797,7 @@ class Engine:
                     packet_id=packet.packet_id,
                 )
             )
-        self.schedule(t, lambda: self.send(packet))
+        self.schedule(t, self.send, packet)
 
     def run(self) -> RunLog:
         """Execute the scenario to its horizon and return the completed log."""
@@ -819,16 +805,14 @@ class Engine:
         # boundary instant the window rolls over before any same-time send
         w = self.config.aggregation_window_us
         for window in range(self.config.horizon_windows):
-            self.schedule((window + 1) * w, (lambda wi: lambda: self._window_boundary(wi))(window))
+            self.schedule((window + 1) * w, self._window_boundary, window)
         self._plan_workload()
         t_end = self.log.horizon_us + self.config.drain_us
-        while len(self.queue) > 0:
-            t_next = self.queue.peek_time()
-            if t_next is None or t_next > t_end:
-                break
-            t, _, action = self.queue.pop()
+        heap = self._heap
+        while heap and heap[0][0] <= t_end:
+            t, _, handler, arg = heapq.heappop(heap)
             if t < self.now:
                 raise AssertionError("event queue went backwards")
             self.now = t
-            action()
+            handler(arg)
         return self.log

@@ -11,7 +11,7 @@ import random
 from bisect import bisect_right
 from collections import deque
 
-from conftest import energy_from_events, serialize_log
+from conftest import energy_from_events, make_engine, serialize_log
 from hodsim.cli import main as cli_main
 from hodsim.config import ScenarioConfig
 from hodsim.detection import AlertRule
@@ -25,7 +25,6 @@ from hodsim.mac import (
     slot_owner_at,
 )
 from hodsim.metrics import compare, run_scenario, score
-from hodsim.simcore import EventQueue
 from hodsim.topology import HexCoord, build_topology
 
 W = 1_000_000
@@ -404,15 +403,14 @@ def test_criterion_5_oracles(capsys):
             if graph.expected_route(src, dst) != want:
                 route_mismatches += 1
 
-    # (c) event queue pops vs a stable sort oracle
-    q = EventQueue()
-    entries = []
-    for i in range(100_000):
-        t = rng.randrange(0, 50_000)
-        entries.append((t, i))
-        q.schedule(0, t, lambda: None)
-    popped = [(t, seq) for t, seq, _ in (q.pop() for _ in range(len(entries)))]
-    queue_ok = popped == sorted(entries, key=lambda e: (e[0], e[1]))
+    # (c) engine event order vs a stable sort oracle
+    eng = make_engine()
+    entries = [(rng.randrange(0, 50_000), i) for i in range(100_000)]
+    fired = []
+    for entry in entries:
+        eng.schedule(entry[0], fired.append, entry)
+    eng.run()
+    queue_ok = fired == sorted(entries, key=lambda e: (e[0], e[1]))
 
     ok = mismatches == 0 and route_mismatches == 0 and queue_ok
     report(

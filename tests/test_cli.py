@@ -171,15 +171,39 @@ class TestExitCodes:
         assert main(["--config", cfg, "--mode", "bogus"]) == 2
         capsys.readouterr()
 
-    def test_runtime_failure_returns_3(self, tmp_path, capsys):
+    # each is found only when the run places the attack, but is still a bad scenario
+    @pytest.mark.parametrize(
+        "attack, message",
+        [
+            pytest.param("cell: [5, 5]", "cell (5,5) is not in the grid", id="cell-outside-grid"),
+            pytest.param("cell: null", "target cell is required", id="no-cell"),
+            pytest.param("packet_count: 0", "packet_count must be >= 1", id="no-packets"),
+            pytest.param("sensor_index: 7", "sensor_index 7 out of range", id="no-such-sensor"),
+            pytest.param(
+                "end_us: 99000000", "interval [0, 99000000) must lie within", id="past-horizon"
+            ),
+            # [0, 1) holds only the spoofed sensor's own slot
+            pytest.param(
+                "end_us: 1", "no emission time satisfying the schedule constraints", id="no-time"
+            ),
+            pytest.param(
+                "kind: NodeCompromise, target_role: boss", "target_role must be", id="bad-role"
+            ),
+            pytest.param(
+                "kind: NodeCompromise, compromise_mode: Loud", "compromise_mode must be", id="bad-mode"
+            ),
+        ],
+    )
+    def test_invalid_attack_spec_returns_2(self, tmp_path, capsys, attack, message):
         bad = tmp_path / "bad.yaml"
-        # parses cleanly, but the attack targets a cell outside the grid
+        # parses cleanly; the override comes last in the flow mapping, so it wins
+        spec = "{kind: SlotSpoof, start_us: 0, end_us: 2000000, cell: [0, 0], packet_count: 2, "
         bad.write_text(
-            SCENARIO.replace("cell: [0, 0]", "cell: [5, 5]"), encoding="utf-8"
+            SCENARIO.split("attacks:")[0] + f"attacks:\n  - {spec}{attack}}}\n", encoding="utf-8"
         )
         out = tmp_path / "out"
-        assert run_cli(str(bad), out, "--seed", "1") == 3
-        assert "not in the grid" in capsys.readouterr().err
+        assert run_cli(str(bad), out, "--mode", "compare", "--seed", "1") == 2
+        assert message in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_partial_outputs_removed_on_failure(self, cfg, tmp_path, capsys):

@@ -89,6 +89,22 @@ class TestStrictParsing:
             with pytest.raises(ConfigError, match=match):
                 ScenarioConfig.from_dict({"attacks": [attack]})
 
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(".nan", "finite"), (".inf", "finite"), ("true", "a number"), ('"7"', "a number")],
+    )
+    def test_position_coordinates_are_finite_numbers(self, value, kind):
+        text = (
+            "attacks:\n  - {kind: Jamming, start_us: 0, end_us: 1, cell: [0, 0], "
+            f"position: [{value}, 0]}}\n"
+        )
+        with pytest.raises(ConfigError, match=re.escape(f"'attacks[0].position' must be {kind}")):
+            ScenarioConfig.from_yaml(text)
+        # ints are taken and converted, so the echo reads as floats
+        sc = ScenarioConfig.from_yaml(text.replace(f"[{value}, 0]", "[10, 5]"))
+        assert sc.attacks[0].position == (10.0, 5.0)
+        assert all(type(c) is float for c in sc.attacks[0].position)
+
     def test_attacks_must_be_a_list(self):
         with pytest.raises(ConfigError, match="must be a list"):
             ScenarioConfig.from_dict({"attacks": {"kind": "Jamming"}})
@@ -181,6 +197,8 @@ class TestStrictParsing:
             ("radio", "per_hop_latency_us", 0, "per_hop_latency_us must be > 0"),
             ("radio", "per_hop_latency_us", -5, "per_hop_latency_us must be > 0"),
             ("radio", "cs_busy_wait_us", -1, "cs_busy_wait_us must be >= 0"),
+            # a hop still on the air when it resolves would collide one-sidedly
+            ("radio", "per_hop_latency_us", 500, "per_hop_latency_us (500) must be >= airtime_us (1000)"),
             ("energy", "packet_size_bits", 0, "packet_size_bits must be > 0"),
             ("energy", "e_elec_j_per_bit", -1.0, "e_elec_j_per_bit must be >= 0"),
         ],

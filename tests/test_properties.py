@@ -52,7 +52,11 @@ def scenarios(draw):
     windows = draw(st.integers(2, 4))
     return ScenarioConfig(
         topology=TopologyConfig(rings=rings, sensors_per_cell=sensors_per_cell),
-        radio=RadioModel(shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0]))),
+        radio=RadioModel(
+            shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])),
+            long_range_reliable=draw(st.booleans()),
+            per_hop_latency_us=draw(st.sampled_from([2_000, 20_000])),
+        ),
         sim=SimSection(horizon_windows=windows),
         attacks=draw(st.lists(attack_specs(rings, sensors_per_cell, windows * W), max_size=3)),
         seed=draw(st.integers(0, 1000)),

@@ -4,6 +4,7 @@ Expected numbers are either closed-form (computed inline from first
 principles with raw math, not the module under test) or statistical bounds.
 """
 
+import heapq
 import math
 import random
 
@@ -14,7 +15,6 @@ from hodsim.simcore import (
     CompromiseMode,
     Engine,
     EnergyModel,
-    EventQueue,
     InterferenceSource,
     MacConfig,
     Outcome,
@@ -94,46 +94,45 @@ class TestEnergyModel:
         assert em.rx_energy_j(512) == pytest.approx(25.6e-6, rel=1e-12)
 
 
-class TestEventQueue:
+class TestEventOrder:
     def test_sort_oracle_large(self):
-        # schedule in random order; pops must follow (time, insertion seq)
-        q = EventQueue()
+        # schedule in random order; handlers must fire in (time, schedule order)
+        eng = make_engine()
         rng = random.Random(123)
-        n = 20_000
-        entries = []
-        for i in range(n):
-            t = rng.randrange(0, 5_000)
-            entries.append((t, i))
-            q.schedule(0, t, lambda: None)
-        popped = [(t, seq) for t, seq, _ in (q.pop() for _ in range(n))]
-        assert popped == sorted(entries, key=lambda e: (e[0], e[1]))
+        entries = [(rng.randrange(0, 5_000), i) for i in range(20_000)]
+        fired = []
+        for entry in entries:
+            eng.schedule(entry[0], fired.append, entry)
+        eng.run()
+        assert fired == sorted(entries, key=lambda e: (e[0], e[1]))
 
     def test_past_events_rejected(self):
-        q = EventQueue()
-        q.schedule(0, 10, lambda: None)
-        with pytest.raises(ValueError):
-            q.schedule(100, 50, lambda: None)
+        eng = make_engine()
+        fired = []
+        eng.schedule(100, fired.append, 100)
+        eng.schedule(10, fired.append, 10)
+        drain(eng, t_end=100)
+        assert fired == [10, 100] and eng.now == 100
+        with pytest.raises(ValueError, match="cannot schedule event at 50 before current time 100"):
+            eng.schedule(50, fired.append, 50)
 
     def test_fifo_among_equal_times(self):
-        q = EventQueue()
+        eng = make_engine()
         order = []
         for i in range(5):
-            q.schedule(0, 42, lambda i=i: order.append(i))
-        while len(q):
-            q.pop()[2]()
+            eng.schedule(42, order.append, i)
+        drain(eng)
         assert order == [0, 1, 2, 3, 4]
 
 
 def drain(engine, t_end=None):
-    """Run the engine's queue without planning any workload."""
+    """Run the engine's heap without planning any workload."""
     limit = t_end if t_end is not None else engine.log.horizon_us + engine.config.drain_us
-    while len(engine.queue):
-        t_next = engine.queue.peek_time()
-        if t_next is None or t_next > limit:
-            break
-        t, _, action = engine.queue.pop()
+    heap = engine._heap
+    while heap and heap[0][0] <= limit:
+        t, _, handler, arg = heapq.heappop(heap)
         engine.now = t
-        action()
+        handler(arg)
 
 
 def data_packet(engine, src, dst, control=False, mac_exempt=True, long_range=False):
@@ -167,7 +166,7 @@ class TestDeliveryOutcomes:
         sensor = eng.topology.sensors_of(cell)[0]
         cluster = eng.topology.cluster_of(cell)
         pkt = data_packet(eng, sensor, cluster)
-        eng.schedule(1000, lambda: eng.send(pkt))
+        eng.schedule(1000, eng.send, pkt)
         drain(eng)
         rx = [e for e in eng.log.events if e.event_kind == "rx"]
         assert len(rx) == 1
@@ -185,7 +184,7 @@ class TestDeliveryOutcomes:
         src = topo.sensors_of(far_a)[0]
         dst = topo.cluster_of(far_b)
         assert topo.distance(src, dst) > 75.0
-        eng.schedule(0, lambda: eng.send(data_packet(eng, src, dst)))
+        eng.schedule(0, eng.send, data_packet(eng, src, dst))
         drain(eng)
         assert self.outcomes(eng.log) == [(Outcome.OUT_OF_RANGE.value, 0)]
 
@@ -200,9 +199,9 @@ class TestDeliveryOutcomes:
         eng.interference.append(
             InterferenceSource(x=cx, y=cy, power_dbm=10.0, start_us=0, end_us=10_000)
         )
-        eng.schedule(100, lambda: eng.send(data_packet(eng, sensor, cluster)))
+        eng.schedule(100, eng.send, data_packet(eng, sensor, cluster))
         # second try after the jammer stops: delivered
-        eng.schedule(20_000, lambda: eng.send(data_packet(eng, sensor, cluster)))
+        eng.schedule(20_000, eng.send, data_packet(eng, sensor, cluster))
         drain(eng)
         assert self.outcomes(eng.log) == [(Outcome.JAMMED.value, 0), ("rx", 1)]
 
@@ -216,9 +215,9 @@ class TestDeliveryOutcomes:
             s1, s2, s3 = topo.sensors_of(cell)
             cluster = topo.cluster_of(cell)
             # two overlap (airtime 1000 us), the third is clear of both
-            eng.schedule(0, lambda: eng.send(data_packet(eng, s1, cluster)))
-            eng.schedule(500, lambda: eng.send(data_packet(eng, s2, cluster)))
-            eng.schedule(5_000, lambda: eng.send(data_packet(eng, s3, cluster)))
+            eng.schedule(0, eng.send, data_packet(eng, s1, cluster))
+            eng.schedule(500, eng.send, data_packet(eng, s2, cluster))
+            eng.schedule(5_000, eng.send, data_packet(eng, s3, cluster))
             drain(eng)
             assert self.outcomes(eng.log) == [
                 (Outcome.COLLISION.value, 0),
@@ -234,10 +233,8 @@ class TestDeliveryOutcomes:
             cell = sorted(topo.cells)[0]
             s1, s2 = topo.sensors_of(cell)
             cluster = topo.cluster_of(cell)
-            eng.schedule(0, lambda: eng.send(data_packet(eng, s1, cluster, control=True)))
-            eng.schedule(
-                0, lambda: eng.send(data_packet(eng, s2, cluster, control=second_is_control))
-            )
+            eng.schedule(0, eng.send, data_packet(eng, s1, cluster, control=True))
+            eng.schedule(0, eng.send, data_packet(eng, s2, cluster, control=second_is_control))
             drain(eng)
             assert [o for o, _ in self.outcomes(eng.log)] == ["rx", "rx"]
 
@@ -251,8 +248,8 @@ class TestDeliveryOutcomes:
         assert len(cells) >= 2
         regional = topo.regional_by_region[region]
         c1, c2 = topo.cluster_of(cells[0]), topo.cluster_of(cells[1])
-        eng.schedule(0, lambda: eng.send(data_packet(eng, c1, regional)))
-        eng.schedule(0, lambda: eng.send(data_packet(eng, c2, regional)))
+        eng.schedule(0, eng.send, data_packet(eng, c1, regional))
+        eng.schedule(0, eng.send, data_packet(eng, c2, regional))
         drain(eng)
         assert [o for o, _ in self.outcomes(eng.log)] == ["rx", "rx"]
 
@@ -264,9 +261,7 @@ class TestDeliveryOutcomes:
         eng.interference.append(
             InterferenceSource(x=bx, y=by, power_dbm=30.0, start_us=0, end_us=10**7)
         )
-        eng.schedule(
-            0, lambda: eng.send(data_packet(eng, regional, topo.base_id, long_range=True))
-        )
+        eng.schedule(0, eng.send, data_packet(eng, regional, topo.base_id, long_range=True))
         eng.run()
         assert [o for o, _ in self.outcomes(eng.log)] == ["rx"]
         # the regional has no cell, and a long-range send counts toward none
@@ -283,8 +278,8 @@ class TestEngineMechanics:
         cluster = topo.cluster_of(cell)
         regional = topo.regional_of_cell(cell)
         eng.compromise[cluster] = [(0, 5_000, CompromiseMode.SILENT)]
-        eng.schedule(100, lambda: eng.send(data_packet(eng, cluster, regional)))
-        eng.schedule(8_000, lambda: eng.send(data_packet(eng, cluster, regional)))
+        eng.schedule(100, eng.send, data_packet(eng, cluster, regional))
+        eng.schedule(8_000, eng.send, data_packet(eng, cluster, regional))
         drain(eng)
         tx = [e for e in eng.log.events if e.event_kind == "tx"]
         assert len(tx) == 1 and tx[0].time_us == 8_000
@@ -307,7 +302,7 @@ class TestEngineMechanics:
             size_bits=512,
             phantom_pos=(cx + 5.0, cy),
         )
-        eng.schedule(0, lambda: eng.send(pkt))
+        eng.schedule(0, eng.send, pkt)
         eng.run()
         assert eng.log.counters[victim].total_sent() == 0  # the victim sent nothing
         assert eng.log.meters[victim].tx_j == 0.0
@@ -354,8 +349,8 @@ class TestEngineMechanics:
         eng.interference.append(
             InterferenceSource(x=cx, y=cy, power_dbm=0.0, start_us=50_000, end_us=60_000)
         )
-        eng.schedule(10_000, lambda: eng.send(data_packet(eng, cluster, regional)))
-        eng.schedule(55_000, lambda: eng.send(data_packet(eng, cluster, regional)))
+        eng.schedule(10_000, eng.send, data_packet(eng, cluster, regional))
+        eng.schedule(55_000, eng.send, data_packet(eng, cluster, regional))
         drain(eng)
         assert eng._cell_cs_samples[cell] == [128, 5128]
 
@@ -382,7 +377,7 @@ class TestEngineMechanics:
         sensor = topo.sensors_of(cell)[0]
         cluster = topo.cluster_of(cell)
         d = topo.distance(sensor, cluster)
-        eng.schedule(0, lambda: eng.send(data_packet(eng, sensor, cluster)))
+        eng.schedule(0, eng.send, data_packet(eng, sensor, cluster))
         drain(eng)
         want = 50e-9 * 512 + 100e-12 * 512 * d * d
         assert eng.log.meters[sensor].tx_j == pytest.approx(want, rel=1e-12)
