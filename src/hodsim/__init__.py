@@ -41,7 +41,6 @@ from .simcore import (
     PacketKind,
     RadioModel,
     RunLog,
-    SimConfig,
     TraceEvent,
     WorkloadConfig,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "RunLog",
     "ScenarioConfig",
     "SchedulingError",
-    "SimConfig",
     "SmacSchedule",
     "SummaryReport",
     "TdmaSchedule",

@@ -70,6 +70,28 @@ class AttackSpec:
     compromise_mode: str = "Silent"  # "Silent" | "FalseData"
 
 
+# the AttackSpec fields each kind's injector reads; NodeCompromise also reads
+# cell or region, by its target_role (see fields_read)
+_FORGERY_READS = frozenset({"cell", "position", "packet_count", "sensor_index"})
+_READS: dict[AttackKind, frozenset[str]] = {
+    AttackKind.JAMMING: frozenset({"cell", "power_dbm", "position"}),
+    AttackKind.SLOT_SPOOF: _FORGERY_READS,
+    AttackKind.SLEEP_REPLAY: _FORGERY_READS,
+    AttackKind.ROUTE_DEVIATION: frozenset({"cell", "sensor_index", "relay_index"}),
+    AttackKind.NODE_COMPROMISE: frozenset({"target_role", "compromise_mode"}),
+}
+_TARGET_FIELD = {"cluster": {"cell"}, "regional": {"region"}}
+
+
+def fields_read(spec: AttackSpec) -> frozenset[str]:
+    """The fields of spec that its kind's injector reads; any other field is ignored."""
+    read = _READS[spec.kind] | {"kind", "start_us", "end_us"}
+    if spec.kind is AttackKind.NODE_COMPROMISE:
+        # an unknown role reads both, so that the injector reports the role itself
+        read |= _TARGET_FIELD.get(spec.target_role, {"cell", "region"})
+    return read
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise AttackSpecError(msg)

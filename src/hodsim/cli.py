@@ -5,14 +5,16 @@ Runs a scenario file in hierarchical mode, flat-baseline mode, or both
 metrics, and the comparison table under the output directory.
 
 Exit codes: 0 on success, 2 for bad usage or an invalid scenario file
-(including an attack spec that does not fit the topology or schedules),
-3 for any other failure during simulation or output writing.  Files already
-written by a failed invocation are removed.
+(including an attack spec that does not fit the topology or schedules, and a
+mac schedule that leaves a sensor no fully awake slot, whose message names the
+mac keys that set it), 3 for any other failure during simulation or output
+writing.  Files already written by a failed invocation are removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 from .attacks import AttackSpecError
 from .config import ConfigError, ScenarioConfig
 from .detection import base_station_report
+from .mac import SchedulingError
 from .metrics import Metrics, compare, rows_to_csv, run_scenario, score
 from .simcore import RunLog
 from .topology import Topology
@@ -256,8 +259,12 @@ def main(argv: list[str] | None = None) -> int:
                 outputs.write("comparison.txt", "".join(r.to_text() for r in reports))
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, cleans, exits 2 or 3
         outputs.discard_all()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, AttackSpecError) else 3
+        message = str(exc)
+        if isinstance(exc, SchedulingError):
+            keys = ", ".join(f"mac.{k}={v}" for k, v in dataclasses.asdict(scenario.mac).items())
+            message += f"; the schedule is set by {keys}"
+        print(f"error: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, (AttackSpecError, SchedulingError)) else 3
 
     print(f"wrote {len(outputs.written)} files to {outputs.directory}")
     return 0

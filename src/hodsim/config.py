@@ -1,11 +1,12 @@
 """Scenario files: strict YAML parsing, canonical echo, and scenario hashing.
 
 A scenario fully determines a run given a seed and a mode.  Parsing is
-strict — any key the schema does not define raises ConfigError naming the
-offending path — so a typo cannot silently fall back to a default.  The
-canonical form (echo) is what gets hashed; the hash covers every resolved
-value plus the seed but never the mode, so the hierarchical and flat runs of
-one scenario share a hash and remain comparable.
+strict — any key the schema does not define, a key given twice, and an attack
+field its kind never reads each raise ConfigError naming the offending path —
+so a typo cannot silently fall back to a default.  The canonical form (echo)
+is what gets hashed; the hash covers every resolved value plus the seed but
+never the mode, so the hierarchical and flat runs of one scenario share a
+hash and remain comparable.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import json
 import math
 import types
 import typing
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Any
 
 import yaml
 
-from .attacks import AttackKind, AttackSpec
+from .attacks import AttackKind, AttackSpec, fields_read
 from .detection import DetectorThresholds
-from .simcore import EnergyModel, MacConfig, RadioModel, SimConfig, WorkloadConfig
+from .simcore import EnergyModel, MacConfig, RadioModel, WorkloadConfig
 from .topology import HexCoord
 
 
@@ -63,6 +65,23 @@ class SimSection:
             raise ValueError("sensing_tick_us must be > 0")
         if self.drain_us < 0:
             raise ValueError("drain_us must be >= 0")
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader that rejects a mapping key given twice instead of keeping the last."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict[Any, Any]:
+        seen = set()
+        for key_node, _value in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # keys merged in with << may be overridden; that is YAML's rule
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # the base loader reports an unhashable key
+            if key in seen:
+                raise ConfigError(f"duplicate key {key!r} on line {key_node.start_mark.line + 1}")
+            seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 def _integer(value: Any, key: str) -> int:
@@ -141,7 +160,7 @@ def _build(cls: type, data: Any, path: str, converters: dict[str, Any] | None = 
 
 
 def _parse_attack(data: Any, path: str) -> AttackSpec:
-    return _build(
+    spec = _build(
         AttackSpec,
         data,
         path,
@@ -151,6 +170,15 @@ def _parse_attack(data: Any, path: str) -> AttackSpec:
             "position": lambda v: _parse_position(v, f"{path}.position"),
         },
     )
+    # a field the kind never reads would be ignored in silence; its default is what echo() writes
+    read = fields_read(spec)
+    for f in dataclasses.fields(AttackSpec):
+        if f.name not in read and getattr(spec, f.name) != f.default:
+            takes = ", ".join(g.name for g in dataclasses.fields(AttackSpec) if g.name in read)
+            raise ConfigError(
+                f"'{path}.{f.name}' is not used by a {spec.kind.value} attack (it takes {takes})"
+            )
+    return spec
 
 
 _SECTIONS: dict[str, type] = {
@@ -177,34 +205,9 @@ class ScenarioConfig:
     seed: int = 42
     compare_tolerance: float = 0.1
 
-    # convenience aliases used throughout the harness
-    @property
-    def rings(self) -> int:
-        return self.topology.rings
-
-    @property
-    def sensors_per_cell(self) -> int:
-        return self.topology.sensors_per_cell
-
-    @property
-    def cell_radius_m(self) -> float:
-        return self.topology.cell_radius_m
-
     @property
     def thresholds(self) -> DetectorThresholds:
         return self.detect
-
-    def sim_config(self) -> SimConfig:
-        return SimConfig(
-            radio=self.radio,
-            energy=self.energy,
-            mac=self.mac,
-            workload=self.workload,
-            aggregation_window_us=self.sim.aggregation_window_us,
-            horizon_windows=self.sim.horizon_windows,
-            sensing_tick_us=self.sim.sensing_tick_us,
-            drain_us=self.sim.drain_us,
-        )
 
     # ------------------------------------------------------------ parse / dump
 
@@ -255,7 +258,7 @@ class ScenarioConfig:
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
         try:
-            data = yaml.safe_load(text)
+            data = yaml.load(text, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"not valid YAML: {exc}") from exc
         if data is None:

@@ -481,9 +481,9 @@ class _OutboxEntry:
 class HodMonitors:
     """Attaches the four-layer overlay to an engine."""
 
-    def __init__(self, engine: Engine, thresholds: DetectorThresholds) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.thresholds = thresholds.resolved(engine.config.radio)
+        self.thresholds = engine.config.detect.resolved(engine.config.radio)
         self.graph = ConnectivityGraph(engine.topology, engine.config.radio.short_range_m)
         topo = engine.topology
         self.cluster_outbox: dict[int, list[_OutboxEntry]] = {
@@ -709,9 +709,9 @@ class HodMonitors:
 class FlatMonitors:
     """Per-sensor standalone IDS: the cluster's window step at every sensor, plus gossip."""
 
-    def __init__(self, engine: Engine, thresholds: DetectorThresholds) -> None:
+    def __init__(self, engine: Engine) -> None:
         self.engine = engine
-        self.thresholds = thresholds.resolved(engine.config.radio)
+        self.thresholds = engine.config.detect.resolved(engine.config.radio)
         self.graph = ConnectivityGraph(engine.topology, engine.config.radio.short_range_m)
         topo = engine.topology
         self.neighbors: dict[int, list[int]] = {}

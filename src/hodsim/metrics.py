@@ -306,23 +306,13 @@ def run_scenario(scenario: ScenarioConfig, mode: str, seed: int) -> tuple[RunLog
     if mode not in ("hod", "flat"):
         raise ValueError(f"mode must be 'hod' or 'flat', got {mode!r}")
     topology = build_topology(
-        rings=scenario.rings,
-        sensors_per_cell=scenario.sensors_per_cell,
-        cell_radius_m=scenario.cell_radius_m,
+        rings=scenario.topology.rings,
+        sensors_per_cell=scenario.topology.sensors_per_cell,
+        cell_radius_m=scenario.topology.cell_radius_m,
         seed=seed,
     )
-    engine = Engine(
-        topology,
-        scenario.sim_config(),
-        seed=seed,
-        mode=mode,
-        scenario_hash=scenario.scenario_hash(seed),
-        config_echo=scenario.echo(),
-    )
-    if mode == "hod":
-        HodMonitors(engine, scenario.thresholds)
-    else:
-        FlatMonitors(engine, scenario.thresholds)
+    engine = Engine(topology, scenario, seed, mode)
+    (HodMonitors if mode == "hod" else FlatMonitors)(engine)
     apply_attacks(engine, scenario.attacks)
     return engine.run(), topology
 

@@ -1,5 +1,10 @@
 """Deterministic discrete-event core: clock, radio, energy, workload, windows.
 
+The engine runs the one ScenarioConfig it is given and keeps it as
+Engine.config: the radio, energy, mac, workload and sim (timing) sections are
+read from it, and the run log's scenario hash and config echo are derived from
+it, so a run always reports the configuration it ran.
+
 Everything runs on an integer microsecond clock.  Each event is a handler and
 its one argument (a hop record, a packet or a window index), kept on the
 engine's binary heap as (time, sequence, handler, argument); the engine
@@ -49,7 +54,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .mac import (
     SmacSchedule,
@@ -59,6 +64,9 @@ from .mac import (
     next_compliant_slot,
 )
 from .topology import HexCoord, NodeRole, Topology, suspect_node
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 SimTime = int  # microseconds
 
@@ -306,18 +314,6 @@ class WorkloadConfig:
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    radio: RadioModel = RadioModel()
-    energy: EnergyModel = EnergyModel()
-    mac: MacConfig = MacConfig()
-    workload: WorkloadConfig = WorkloadConfig()
-    aggregation_window_us: int = 1_000_000
-    horizon_windows: int = 30
-    sensing_tick_us: int = 100_000
-    drain_us: int = 50_000
-
-
-@dataclass(frozen=True)
 class InterferenceSource:
     x: float
     y: float
@@ -353,17 +349,9 @@ class _PendingTx:
 
 
 class Engine:
-    """Owns the clock, the radio, and all per-window accounting."""
+    """Runs one scenario: owns the clock, the radio, and all per-window accounting."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        config: SimConfig,
-        seed: int,
-        mode: str = "hod",
-        scenario_hash: str = "",
-        config_echo: dict[str, Any] | None = None,
-    ) -> None:
+    def __init__(self, topology: Topology, config: ScenarioConfig, seed: int, mode: str) -> None:
         self.topology = topology
         self.config = config
         self.seed = seed
@@ -407,15 +395,15 @@ class Engine:
         self.route_overrides: dict[int, list[tuple[SimTime, SimTime, int]]] = {}
 
         # per-window accounting
-        w = config.aggregation_window_us
+        w = config.sim.aggregation_window_us
         self.log = RunLog(
             mode=mode,
             seed=seed,
-            scenario_hash=scenario_hash,
-            config_echo=config_echo or {},
-            horizon_us=w * config.horizon_windows,
+            scenario_hash=config.scenario_hash(seed),
+            config_echo=config.echo(),
+            horizon_us=w * config.sim.horizon_windows,
             window_us=w,
-            n_windows=config.horizon_windows,
+            n_windows=config.sim.horizon_windows,
         )
         for n in topology.nodes:
             self.log.meters[n.node_id] = EnergyMeter()
@@ -717,14 +705,15 @@ class Engine:
 
     def _collect_window_stats(self, window: int) -> None:
         radio = self.config.radio
-        w_start = window * self.config.aggregation_window_us
-        ticks = max(1, self.config.aggregation_window_us // self.config.sensing_tick_us)
+        sim = self.config.sim
+        w_start = window * sim.aggregation_window_us
+        ticks = max(1, sim.aggregation_window_us // sim.sensing_tick_us)
         by_cell: dict[HexCoord, ChannelWindowStats] = {}
         for cell in self.topology.cells:
             cluster = self.topology.node(self.topology.cluster_of(cell))
             samples = []
             for i in range(ticks):
-                t = w_start + i * self.config.sensing_tick_us
+                t = w_start + i * sim.sensing_tick_us
                 level = self.interference_dbm_at(cluster.x, cluster.y, t)
                 if radio.shadowing_sigma_db > 0.0:
                     level += self._idle_rng.gauss(0.0, radio.shadowing_sigma_db)
@@ -803,11 +792,11 @@ class Engine:
         """Execute the scenario to its horizon and return the completed log."""
         # boundaries are scheduled before the workload so that at an exact
         # boundary instant the window rolls over before any same-time send
-        w = self.config.aggregation_window_us
-        for window in range(self.config.horizon_windows):
-            self.schedule((window + 1) * w, self._window_boundary, window)
+        sim = self.config.sim
+        for window in range(sim.horizon_windows):
+            self.schedule((window + 1) * sim.aggregation_window_us, self._window_boundary, window)
         self._plan_workload()
-        t_end = self.log.horizon_us + self.config.drain_us
+        t_end = self.log.horizon_us + sim.drain_us
         heap = self._heap
         while heap and heap[0][0] <= t_end:
             t, _, handler, arg = heapq.heappop(heap)

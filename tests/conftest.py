@@ -2,7 +2,8 @@
 
 import math
 
-from hodsim.simcore import Engine, MacConfig, RadioModel, SimConfig, WorkloadConfig
+from hodsim.config import ScenarioConfig, SimSection, TopologyConfig
+from hodsim.simcore import Engine, EnergyModel, MacConfig, RadioModel, WorkloadConfig
 from hodsim.topology import build_topology
 
 
@@ -12,21 +13,33 @@ def make_engine(
     seed=1,
     mode="hod",
     radio=None,
+    energy=None,
+    mac=None,
     workload=None,
     horizon_windows=3,
     **sim_kwargs,
 ):
-    """A small engine with workload off by default, for hand-driven tests."""
-    topo = build_topology(
-        rings=rings, sensors_per_cell=sensors_per_cell, cell_radius_m=50.0, seed=seed
-    )
-    config = SimConfig(
+    """A small engine with workload off by default, for hand-driven tests.
+
+    Timing keywords (aggregation_window_us, sensing_tick_us, drain_us) go to
+    the scenario's sim section, so its range checks apply.
+    """
+    scenario = ScenarioConfig(
+        topology=TopologyConfig(rings=rings, sensors_per_cell=sensors_per_cell),
         radio=radio or RadioModel(),
+        energy=energy or EnergyModel(),
+        mac=mac or MacConfig(),
         workload=workload or WorkloadConfig(sensors_enabled=False),
-        horizon_windows=horizon_windows,
-        **sim_kwargs,
+        sim=SimSection(horizon_windows=horizon_windows, **sim_kwargs),
+        seed=seed,
     )
-    return Engine(topo, config, seed=seed, mode=mode)
+    topo = build_topology(
+        rings=rings,
+        sensors_per_cell=sensors_per_cell,
+        cell_radius_m=scenario.topology.cell_radius_m,
+        seed=seed,
+    )
+    return Engine(topo, scenario, seed=seed, mode=mode)
 
 
 def energy_from_events(log):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_engine
 from hodsim.attacks import AttackKind, AttackSpec, AttackSpecError, apply_attacks
-from hodsim.detection import DetectorThresholds, HodMonitors
+from hodsim.detection import HodMonitors
 from hodsim.mac import is_awake, slot_owner_at
 from hodsim.simcore import CompromiseMode, MacConfig, WorkloadConfig
 from hodsim.topology import HexCoord, axial_to_xy
@@ -306,7 +306,7 @@ class TestNodeCompromise:
 
     def test_silent_cluster_stops_reports(self):
         eng = make_engine(horizon_windows=3)
-        HodMonitors(eng, DetectorThresholds())  # cluster reports are overlay traffic
+        HodMonitors(eng)  # cluster reports are overlay traffic
         apply_attacks(eng, [self.spec("Silent")])
         eng.run()
         target = eng.topology.cluster_of(CELL)
@@ -320,7 +320,7 @@ class TestNodeCompromise:
 
     def test_false_data_cluster_keeps_transmitting(self):
         eng = make_engine(horizon_windows=3)
-        HodMonitors(eng, DetectorThresholds())
+        HodMonitors(eng)
         apply_attacks(eng, [self.spec("FalseData")])
         eng.run()
         target = eng.topology.cluster_of(CELL)

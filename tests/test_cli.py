@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -175,36 +179,99 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "attack, message",
         [
-            pytest.param("cell: [5, 5]", "cell (5,5) is not in the grid", id="cell-outside-grid"),
-            pytest.param("cell: null", "target cell is required", id="no-cell"),
-            pytest.param("packet_count: 0", "packet_count must be >= 1", id="no-packets"),
-            pytest.param("sensor_index: 7", "sensor_index 7 out of range", id="no-such-sensor"),
+            pytest.param({"cell": [5, 5]}, "cell (5,5) is not in the grid", id="cell-outside-grid"),
+            pytest.param({"cell": None}, "target cell is required", id="no-cell"),
+            pytest.param({"packet_count": 0}, "packet_count must be >= 1", id="no-packets"),
+            pytest.param({"sensor_index": 7}, "sensor_index 7 out of range", id="no-such-sensor"),
             pytest.param(
-                "end_us: 99000000", "interval [0, 99000000) must lie within", id="past-horizon"
+                {"end_us": 99000000}, "interval [0, 99000000) must lie within", id="past-horizon"
             ),
             # [0, 1) holds only the spoofed sensor's own slot
             pytest.param(
-                "end_us: 1", "no emission time satisfying the schedule constraints", id="no-time"
+                {"end_us": 1}, "no emission time satisfying the schedule constraints", id="no-time"
             ),
             pytest.param(
-                "kind: NodeCompromise, target_role: boss", "target_role must be", id="bad-role"
+                {"kind": "NodeCompromise", "target_role": "boss"}, "target_role must be", id="bad-role"
             ),
             pytest.param(
-                "kind: NodeCompromise, compromise_mode: Loud", "compromise_mode must be", id="bad-mode"
+                {"kind": "NodeCompromise", "compromise_mode": "Loud"},
+                "compromise_mode must be",
+                id="bad-mode",
             ),
         ],
     )
     def test_invalid_attack_spec_returns_2(self, tmp_path, capsys, attack, message):
         bad = tmp_path / "bad.yaml"
-        # parses cleanly; the override comes last in the flow mapping, so it wins
-        spec = "{kind: SlotSpoof, start_us: 0, end_us: 2000000, cell: [0, 0], packet_count: 2, "
+        # parses cleanly: the override replaces the spoof's own value of the key
+        spec = {"kind": "SlotSpoof", "start_us": 0, "end_us": 2000000, "cell": [0, 0], **attack}
         bad.write_text(
-            SCENARIO.split("attacks:")[0] + f"attacks:\n  - {spec}{attack}}}\n", encoding="utf-8"
+            SCENARIO.split("attacks:")[0] + f"attacks:\n  - {json.dumps(spec)}\n", encoding="utf-8"
         )
         out = tmp_path / "out"
         assert run_cli(str(bad), out, "--mode", "compare", "--seed", "1") == 2
         assert message in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    # found only when the run plans the workload, but still a bad scenario
+    @pytest.mark.parametrize(
+        "mac, key",
+        [
+            ("{awake_fraction: 0.01}", "mac.awake_fraction=0.01"),
+            ("{smac_period_us: 5000}", "mac.smac_period_us=5000"),
+            ("{phase_offset_us: -5}", "mac.phase_offset_us=-5"),
+        ],
+    )
+    def test_mac_schedule_without_an_awake_slot_returns_2(self, tmp_path, capsys, mac, key):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "topology: {rings: 1, sensors_per_cell: 3}\nsim: {horizon_windows: 3}\n"
+            f"mac: {mac}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run_cli(str(bad), out, "--mode", "compare", "--seeds", "1..2") == 2
+        err = capsys.readouterr().err
+        assert "no awake slot for node" in err and key in err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "attack, message",
+        [
+            pytest.param(
+                "{kind: SlotSpoof, start_us: 0, end_us: 2000000, cell: [0, 0], power_dbm: 99}",
+                "'attacks[0].power_dbm' is not used by a SlotSpoof attack",
+                id="spoof-power",
+            ),
+            pytest.param(
+                "{kind: Jamming, start_us: 0, end_us: 2000000, cell: [0, 0], sensor_index: 99}",
+                "'attacks[0].sensor_index' is not used by a Jamming attack",
+                id="jamming-victim",
+            ),
+            pytest.param(
+                "{kind: NodeCompromise, start_us: 0, end_us: 2000000, target_role: regional, "
+                "region: 0, cell: [5, 5]}",
+                "'attacks[0].cell' is not used by a NodeCompromise attack",
+                id="regional-cell",
+            ),
+            pytest.param(
+                "{kind: Jamming, start_us: 0, end_us: 2000000, cell: [0, 0], power_dbm: 10, "
+                "power_dbm: 30}",
+                "duplicate key 'power_dbm' on line 4",
+                id="duplicate-key",
+            ),
+        ],
+    )
+    def test_attack_the_parser_rejects_returns_2(self, tmp_path, capsys, attack, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(
+            "topology: {rings: 1, sensors_per_cell: 3}\nsim: {horizon_windows: 3}\n"
+            f"attacks:\n  - {attack}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert run_cli(str(bad), out, "--mode", "compare", "--seed", "1") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_partial_outputs_removed_on_failure(self, cfg, tmp_path, capsys):
         out = tmp_path / "out"
@@ -264,6 +331,25 @@ class TestDeterminism:
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli(cfg, a, "--mode", "compare", "--seed", "5") == 0
         assert run_cli(cfg, b, "--mode", "compare", "--seed", "5") == 0
+        for p in sorted(a.iterdir()):
+            assert (b / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_outputs_match_across_processes_and_hash_seeds(self, tmp_path):
+        # string hashing is salted per process; no output, the scenario hash included, may depend on it
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / f"out{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "hodsim.cli", "--config", str(EXAMPLES / "node_compromise.yaml"),
+                 "--mode", "compare", "--seeds", "1..2", "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            outs.append(out)
+        a, b = outs
+        assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
         for p in sorted(a.iterdir()):
             assert (b / p.name).read_bytes() == p.read_bytes(), p.name
 

@@ -37,14 +37,12 @@ attacks:
 class TestDefaults:
     def test_zero_config_is_complete(self):
         sc = ScenarioConfig()
-        assert sc.rings == 2
-        assert sc.sensors_per_cell == 6
-        assert sc.cell_radius_m == 50.0
+        assert sc.topology.rings == 2
+        assert sc.topology.sensors_per_cell == 6
+        assert sc.topology.cell_radius_m == 50.0
         assert sc.sim.horizon_windows == 30
+        assert sc.sim.aggregation_window_us == 1_000_000
         assert sc.attacks == []
-        cfg = sc.sim_config()
-        assert cfg.aggregation_window_us == 1_000_000
-        assert cfg.horizon_windows == 30
 
     def test_empty_yaml_is_defaults(self):
         assert ScenarioConfig.from_yaml("").echo() == ScenarioConfig().echo()
@@ -241,12 +239,54 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="not valid YAML"):
             ScenarioConfig.from_yaml("a: [unclosed\n- ]: x")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed: 1\nseed: 5\n", "duplicate key 'seed' on line 2"),
+            ("topology: {rings: 1}\ntopology: {rings: 3}\n", "duplicate key 'topology' on line 2"),
+            ("topology:\n  rings: 1\n  rings: 3\n", "duplicate key 'rings' on line 3"),
+            (
+                "attacks:\n  - {kind: Jamming, start_us: 0, end_us: 1, cell: [0, 0],\n"
+                "     power_dbm: 10, power_dbm: 30}\n",
+                "duplicate key 'power_dbm' on line 3",
+            ),
+        ],
+    )
+    def test_duplicate_key_is_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_yaml(text)
+
+    def test_merge_key_may_override(self):
+        sc = ScenarioConfig.from_yaml(
+            "attacks:\n"
+            "  - &jam {kind: Jamming, start_us: 0, end_us: 1000, cell: [0, 0]}\n"
+            "  - {<<: *jam, end_us: 2000}\n"
+        )
+        assert [a.end_us for a in sc.attacks] == [1000, 2000]
+        assert sc.attacks[1].cell == HexCoord(0, 0)
+
+    @pytest.mark.parametrize(
+        "attack, field",
+        [
+            ({"kind": "SlotSpoof", "cell": [0, 0], "power_dbm": 99}, "power_dbm"),
+            ({"kind": "SleepReplay", "cell": [0, 0], "relay_index": 1}, "relay_index"),
+            ({"kind": "Jamming", "cell": [0, 0], "sensor_index": 99}, "sensor_index"),
+            ({"kind": "RouteDeviation", "cell": [0, 0], "position": [1, 2]}, "position"),
+            ({"kind": "NodeCompromise", "target_role": "regional", "region": 0, "cell": [5, 5]}, "cell"),
+            ({"kind": "NodeCompromise", "cell": [0, 0], "region": 0}, "region"),
+        ],
+    )
+    def test_attack_field_its_kind_never_reads(self, attack, field):
+        message = rf"'attacks\[0\]\.{field}' is not used by a {attack['kind']} attack"
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_dict({"attacks": [{"start_us": 0, "end_us": 1, **attack}]})
+
 
 class TestParseContent:
     def test_full_scenario(self):
         sc = ScenarioConfig.from_yaml(FULL_YAML)
-        assert sc.rings == 1
-        assert sc.sensors_per_cell == 4
+        assert sc.topology.rings == 1
+        assert sc.topology.sensors_per_cell == 4
         assert sc.radio.shadowing_sigma_db == 4.0
         assert sc.seed == 7
         assert len(sc.attacks) == 2
@@ -282,8 +322,8 @@ class TestEchoAndHash:
         other = ScenarioConfig.from_dict({"topology": {"rings": 3}})
         assert other.scenario_hash(7) != sc.scenario_hash(7)
 
-    def test_hash_is_stable_across_processes(self):
-        # no id()/repr() leakage: equal configs hash equal
+    def test_equal_configs_hash_equal(self):
+        # no id()/repr() leakage; tests/test_cli.py checks the hash across processes
         a = ScenarioConfig.from_yaml(FULL_YAML).scenario_hash(3)
         b = ScenarioConfig.from_yaml(FULL_YAML).scenario_hash(3)
         assert a == b

@@ -385,7 +385,7 @@ class TestWatchdog:
 class TestRippling:
     def spoofed_run(self, horizon=6, **spec_kw):
         eng = make_engine(sensors_per_cell=3, horizon_windows=horizon)
-        HodMonitors(eng, DetectorThresholds())
+        HodMonitors(eng)
         spec = dict(
             kind=AttackKind.SLOT_SPOOF,
             start_us=0,
@@ -420,7 +420,7 @@ class TestRippling:
 
     def test_base_detected_alert_trail_is_the_base_alone(self):
         eng = make_engine(horizon_windows=6)
-        HodMonitors(eng, DetectorThresholds())
+        HodMonitors(eng)
         rid = sorted(eng.topology.regional_by_region)[0]
         spec = AttackSpec(
             kind=AttackKind.NODE_COMPROMISE,
@@ -444,7 +444,7 @@ class TestRippling:
         # jam the victim's uplink for two boundaries; the outbox must retry
         # and the base must still record each alert exactly once
         eng = make_engine(sensors_per_cell=3, horizon_windows=8)
-        HodMonitors(eng, DetectorThresholds())
+        HodMonitors(eng)
         topo = eng.topology
         regional = topo.regional_of_cell(CELL)
         rx_, ry_ = topo.position(regional)
@@ -486,7 +486,7 @@ class TestRippling:
         eng = self.spoofed_run(horizon=6)
         # fresh engine with the same spoof plus a FalseData compromise
         eng2 = make_engine(sensors_per_cell=3, horizon_windows=6)
-        HodMonitors(eng2, DetectorThresholds())
+        HodMonitors(eng2)
         apply_attacks(
             eng2,
             [

@@ -203,7 +203,7 @@ class TestFlatMonitors:
         eng = make_engine(
             sensors_per_cell=2, horizon_windows=2, workload=WorkloadConfig(), mode="flat"
         )
-        mon = FlatMonitors(eng, DetectorThresholds())
+        mon = FlatMonitors(eng)
         eng.run()
         assert eng.log.flat_anomalies == []  # attack-free stays quiet
         for s in eng.topology.sensor_ids():
@@ -214,7 +214,7 @@ class TestFlatMonitors:
         eng = make_engine(
             sensors_per_cell=3, horizon_windows=4, workload=WorkloadConfig(), mode="flat"
         )
-        FlatMonitors(eng, DetectorThresholds())
+        FlatMonitors(eng)
         apply_attacks(
             eng,
             [

@@ -21,7 +21,6 @@ from hodsim.simcore import (
     Packet,
     PacketKind,
     RadioModel,
-    SimConfig,
     WorkloadConfig,
     power_sum_dbm,
 )
@@ -127,7 +126,7 @@ class TestEventOrder:
 
 def drain(engine, t_end=None):
     """Run the engine's heap without planning any workload."""
-    limit = t_end if t_end is not None else engine.log.horizon_us + engine.config.drain_us
+    limit = t_end if t_end is not None else engine.log.horizon_us + engine.config.sim.drain_us
     heap = engine._heap
     while heap and heap[0][0] <= limit:
         t, _, handler, arg = heapq.heappop(heap)
@@ -271,6 +270,20 @@ class TestDeliveryOutcomes:
 
 
 class TestEngineMechanics:
+    def test_log_reports_the_scenario_the_engine_holds(self):
+        eng = make_engine(seed=5, horizon_windows=2)
+        assert eng.log.scenario_hash == eng.config.scenario_hash(5)
+        assert eng.log.config_echo == eng.config.echo()
+        assert eng.log.n_windows == eng.config.sim.horizon_windows == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sensing_tick_us", 0), ("horizon_windows", 0), ("drain_us", -1), ("aggregation_window_us", 0)],
+    )
+    def test_timing_range_checks_guard_every_engine(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            make_engine(**{key: value})
+
     def test_silent_compromise_suppresses_sends(self):
         eng = make_engine()
         topo = eng.topology
