@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .simcore import (
     CompromiseMode,
@@ -68,6 +68,16 @@ class AttackSpec:
     target_role: str = "cluster"  # "cluster" | "regional"
     region: int | None = None
     compromise_mode: str = "Silent"  # "Silent" | "FalseData"
+
+    def __post_init__(self) -> None:
+        # a field the kind never reads would be ignored in silence; its default is what the echo writes
+        read = fields_read(self)
+        for f in fields(self):
+            if f.name not in read and getattr(self, f.name) != f.default:
+                takes = ", ".join(g.name for g in fields(self) if g.name in read)
+                raise ValueError(
+                    f"'{f.name}' is not used by a {self.kind.value} attack (it takes {takes})"
+                )
 
 
 # the AttackSpec fields each kind's injector reads; NodeCompromise also reads
@@ -157,26 +167,25 @@ def _schedule_forgeries(
     engine: Engine,
     spec: AttackSpec,
     rng: random.Random,
+    cell: HexCoord,
+    victim: int,
     accept,
     fallback,
-    kind: AttackKind,
 ) -> None:
-    cell = _resolve_cell(engine, spec)
-    victim = _resolve_victim(engine, spec, cell)
     cluster = engine.topology.cluster_of(cell)
     pos = _emitter_position(engine, spec, cell)
-    _require(spec.packet_count >= 1, f"{kind.value}: packet_count must be >= 1")
+    _require(spec.packet_count >= 1, f"{spec.kind.value}: packet_count must be >= 1")
     times: list[int] = []
     for _ in range(spec.packet_count):
-        t = _sample_time(rng, spec, accept, fallback, kind)
+        t = _sample_time(rng, spec, accept, fallback)
         times.append(t)
     for t in sorted(times):
         # forged link-layer identity, sent from the attacker's position
-        packet = engine.new_packet(PacketKind.ATTACK_TRAFFIC, victim, cluster, t, phantom_pos=pos)
+        packet = engine.new_packet(PacketKind.ATTACK_TRAFFIC, victim, cluster, phantom_pos=pos)
         engine.log.ground_truth.append(
             GroundTruthEvent(
                 time_us=t,
-                kind=kind.value,
+                kind=spec.kind.value,
                 target=suspect_node(victim),
                 detail=f"forged origin {victim} into cell ({cell.q},{cell.r})",
                 packet_id=packet.packet_id,
@@ -185,7 +194,7 @@ def _schedule_forgeries(
         engine.schedule(t, engine.send, packet)
 
 
-def _sample_time(rng, spec, accept, fallback, kind, tries: int = 20_000) -> int:
+def _sample_time(rng, spec, accept, fallback, tries: int = 20_000) -> int:
     for _ in range(tries):
         t = rng.randrange(spec.start_us, spec.end_us)
         if accept(t):
@@ -196,7 +205,7 @@ def _sample_time(rng, spec, accept, fallback, kind, tries: int = 20_000) -> int:
             if fallback(t):
                 return t
     raise AttackSpecError(
-        f"{kind.value}: no emission time satisfying the schedule constraints "
+        f"{spec.kind.value}: no emission time satisfying the schedule constraints "
         f"found in [{spec.start_us}, {spec.end_us})"
     )
 
@@ -216,7 +225,7 @@ def inject_slot_spoof(engine: Engine, spec: AttackSpec, rng: random.Random) -> N
     def foreign_awake(t: int) -> bool:
         return slot_owner_at(tdma, t) != victim and is_awake(smac, t)
 
-    _schedule_forgeries(engine, spec, rng, foreign_awake, None, AttackKind.SLOT_SPOOF)
+    _schedule_forgeries(engine, spec, rng, cell, victim, foreign_awake, None)
 
 
 def inject_sleep_replay(engine: Engine, spec: AttackSpec, rng: random.Random) -> None:
@@ -238,7 +247,7 @@ def inject_sleep_replay(engine: Engine, spec: AttackSpec, rng: random.Random) ->
     def asleep(t: int) -> bool:
         return not is_awake(smac, t)
 
-    _schedule_forgeries(engine, spec, rng, asleep_own_slot, asleep, AttackKind.SLEEP_REPLAY)
+    _schedule_forgeries(engine, spec, rng, cell, victim, asleep_own_slot, asleep)
 
 
 def inject_route_deviation(engine: Engine, spec: AttackSpec, rng: random.Random) -> None:

@@ -1,18 +1,23 @@
 """Scenario files: strict YAML parsing, canonical echo, and scenario hashing.
 
-A scenario fully determines a run given a seed and a mode.  Parsing is
-strict — any key the schema does not define, a key given twice, and an attack
-field its kind never reads each raise ConfigError naming the offending path —
-so a typo cannot silently fall back to a default.  The canonical form (echo)
-is what gets hashed; the hash covers every resolved value plus the seed but
-never the mode, so the hierarchical and flat runs of one scenario share a
-hash and remain comparable.
+A scenario fully determines a run given a seed and a mode.  The dataclass
+annotations are the schema: one recursive builder converts every level (the
+scenario, its sections, each attack) by each field's annotation, and any key
+the schema does not define, a key given twice or a value of the wrong type
+raises ConfigError naming the offending path, so a typo cannot silently fall
+back to a default.  Every range and cross-field check (an attack field its
+kind never reads among them) is the __post_init__ of the type that holds the
+values, so it runs wherever a scenario is built, in code or from YAML.  The
+canonical form (echo) is what gets hashed; the hash covers every resolved
+value plus the seed but never the mode, so the hierarchical and flat runs of
+one scenario share a hash and remain comparable.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -24,7 +29,7 @@ from typing import Any
 
 import yaml
 
-from .attacks import AttackKind, AttackSpec, fields_read
+from .attacks import AttackSpec
 from .detection import DetectorThresholds
 from .simcore import EnergyModel, MacConfig, RadioModel, WorkloadConfig
 from .topology import HexCoord
@@ -92,14 +97,7 @@ def _integer(value: Any, key: str) -> int:
 
 
 def _check_type(hint: Any, value: Any, key: str) -> None:
-    """Reject a value that is not of its int, float or bool field's type (`X | None` allows None).
-
-    A float field must also be finite.
-    """
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        if value is None:
-            return
-        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    """Reject a value that is not of its int, float or bool field's type; a float must be finite."""
     if hint is int:
         _integer(value, key)
     elif hint is float:
@@ -131,68 +129,65 @@ def _parse_position(value: Any, path: str) -> tuple[float, float]:
     raise ConfigError(f"'{path}' must be [x, y], got {value!r}")
 
 
-def _build(cls: type, data: Any, path: str, converters: dict[str, Any] | None = None) -> Any:
+@functools.cache
+def _field_hints(cls: type) -> dict[str, Any]:
+    """The resolved annotations of cls, computed once: resolving them is most of what parsing costs."""
+    return typing.get_type_hints(cls)
+
+
+def _convert(hint: Any, value: Any, path: str) -> Any:
+    """value converted for a field annotated hint: the annotation picks the conversion."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if hint is HexCoord:
+        return _parse_cell(value, path)
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, path)
+    if typing.get_origin(hint) is list:
+        if value is None:
+            return []
+        if not isinstance(value, list):
+            raise ConfigError(f"section '{path}' must be a list")
+        (item,) = typing.get_args(hint)
+        return [_build(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if typing.get_origin(hint) is tuple:
+        return _parse_position(value, path)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        try:
+            return value if isinstance(value, hint) else hint(str(value))
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for '{path}': {exc}") from exc
+    _check_type(hint, value, path)
+    return value
+
+
+def _build(cls: type, data: Any, path: str) -> Any:
+    """An instance of the dataclass cls from the mapping data found at path ('' for the scenario).
+
+    Each field is converted by its annotation; range and cross-field checks
+    are cls's own __post_init__, so they run however an instance is built.
+    """
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"section '{path}' must be a mapping, got {type(data).__name__}")
-    hints = typing.get_type_hints(cls)
+    hints = _field_hints(cls)
+    prefix = f"{path}." if path else ""
     for key in data:
         if key not in hints:
-            raise ConfigError(f"unknown key '{path}.{key}'")
-    kwargs = {}
-    for key, value in data.items():
-        conv = (converters or {}).get(key)
-        if conv is not None and value is not None:
-            try:
-                kwargs[key] = conv(value)
-            except ConfigError:
-                raise
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid value for '{path}.{key}': {exc}") from exc
-        else:
-            _check_type(hints[key], value, f"{path}.{key}")
-            kwargs[key] = value
+            raise ConfigError(f"unknown key '{prefix}{key}'")
+    kwargs = {key: _convert(hints[key], value, f"{prefix}{key}") for key, value in data.items()}
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid section '{path}': {exc}") from exc
 
 
-def _parse_attack(data: Any, path: str) -> AttackSpec:
-    spec = _build(
-        AttackSpec,
-        data,
-        path,
-        converters={
-            "kind": lambda v: v if isinstance(v, AttackKind) else AttackKind(str(v)),
-            "cell": lambda v: _parse_cell(v, f"{path}.cell"),
-            "position": lambda v: _parse_position(v, f"{path}.position"),
-        },
-    )
-    # a field the kind never reads would be ignored in silence; its default is what echo() writes
-    read = fields_read(spec)
-    for f in dataclasses.fields(AttackSpec):
-        if f.name not in read and getattr(spec, f.name) != f.default:
-            takes = ", ".join(g.name for g in dataclasses.fields(AttackSpec) if g.name in read)
-            raise ConfigError(
-                f"'{path}.{f.name}' is not used by a {spec.kind.value} attack (it takes {takes})"
-            )
-    return spec
-
-
-_SECTIONS: dict[str, type] = {
-    "topology": TopologyConfig,
-    "radio": RadioModel,
-    "energy": EnergyModel,
-    "mac": MacConfig,
-    "workload": WorkloadConfig,
-    "detect": DetectorThresholds,
-    "sim": SimSection,
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     radio: RadioModel = field(default_factory=RadioModel)
@@ -205,6 +200,22 @@ class ScenarioConfig:
     seed: int = 42
     compare_tolerance: float = 0.1
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"'seed' must be an integer >= 0, got {self.seed!r}")
+        tol = float(self.compare_tolerance)
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ConfigError(
+                f"'compare_tolerance' must be a finite number >= 0, got {self.compare_tolerance!r}"
+            )
+        object.__setattr__(self, "compare_tolerance", tol)
+        frame_length = self.mac.frame_length
+        if frame_length is not None and frame_length < self.topology.sensors_per_cell:
+            raise ConfigError(
+                f"'mac.frame_length' ({frame_length}) must be >= 'topology.sensors_per_cell' "
+                f"({self.topology.sensors_per_cell}): every sensor needs a slot"
+            )
+
     @property
     def thresholds(self) -> DetectorThresholds:
         return self.detect
@@ -215,45 +226,7 @@ class ScenarioConfig:
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"scenario must be a mapping, got {type(data).__name__}")
-        known = set(_SECTIONS) | {"attacks", "seed", "compare_tolerance"}
-        for key in data:
-            if key not in known:
-                raise ConfigError(f"unknown key '{key}'")
-        kwargs: dict[str, Any] = {}
-        for name, section_cls in _SECTIONS.items():
-            if name in data:
-                kwargs[name] = _build(section_cls, data[name], name)
-        topology = kwargs.get("topology", TopologyConfig())
-        frame_length = kwargs.get("mac", MacConfig()).frame_length
-        if frame_length is not None and frame_length < topology.sensors_per_cell:
-            raise ConfigError(
-                f"'mac.frame_length' ({frame_length}) must be >= 'topology.sensors_per_cell' "
-                f"({topology.sensors_per_cell}): every sensor needs a slot"
-            )
-        raw_attacks = data.get("attacks", [])
-        if raw_attacks is None:
-            raw_attacks = []
-        if not isinstance(raw_attacks, list):
-            raise ConfigError("section 'attacks' must be a list")
-        kwargs["attacks"] = [
-            _parse_attack(a, f"attacks[{i}]") for i, a in enumerate(raw_attacks)
-        ]
-        if "seed" in data:
-            seed = data["seed"]
-            if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-                raise ConfigError(f"'seed' must be an integer >= 0, got {seed!r}")
-            kwargs["seed"] = seed
-        if "compare_tolerance" in data:
-            tol = data["compare_tolerance"]
-            if (
-                not isinstance(tol, (int, float))
-                or isinstance(tol, bool)
-                or not math.isfinite(tol)
-                or tol < 0
-            ):
-                raise ConfigError(f"'compare_tolerance' must be a finite number >= 0, got {tol!r}")
-            kwargs["compare_tolerance"] = float(tol)
-        return cls(**kwargs)
+        return _build(cls, data, "")
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
@@ -272,13 +245,7 @@ class ScenarioConfig:
 
     def echo(self) -> dict[str, Any]:
         """Canonical fully-resolved form: every knob explicit, enums as names."""
-        out: dict[str, Any] = {}
-        for name in _SECTIONS:
-            out[name] = _canonical(getattr(self, name))
-        out["attacks"] = [_canonical(a) for a in self.attacks]
-        out["seed"] = self.seed
-        out["compare_tolerance"] = self.compare_tolerance
-        return out
+        return _canonical(self)
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.echo(), sort_keys=False)
@@ -306,6 +273,4 @@ def _canonical(obj: Any) -> Any:
         return obj.value
     if isinstance(obj, (list, tuple)):
         return [_canonical(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _canonical(obj[k]) for k in sorted(obj)}
     return obj

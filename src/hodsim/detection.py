@@ -113,14 +113,7 @@ class DetectorThresholds:
             if self.carrier_sense_max_us is not None
             else 3.0 * radio.cs_turnaround_us
         )
-        return DetectorThresholds(
-            pdr_min=self.pdr_min,
-            idle_rssi_max_dbm=idle,
-            carrier_sense_max_us=cs,
-            vote_k=self.vote_k,
-            heartbeat_timeout_windows=self.heartbeat_timeout_windows,
-            match_window_count=self.match_window_count,
-        )
+        return dataclasses.replace(self, idle_rssi_max_dbm=idle, carrier_sense_max_us=cs)
 
 
 @dataclass
@@ -454,14 +447,7 @@ def _send(
 ) -> int:
     """Send one monitor message now (IDS control plane by default); returns its packet id."""
     packet = eng.new_packet(
-        kind,
-        src,
-        dst,
-        eng.now,
-        payload=payload,
-        control=control,
-        long_range=long_range,
-        mac_exempt=mac_exempt,
+        kind, src, dst, payload=payload, control=control, long_range=long_range, mac_exempt=mac_exempt
     )
     eng.send(packet)
     return packet.packet_id

@@ -201,7 +201,6 @@ class Packet:
     src: int  # claimed link-layer sender
     origin: int  # claimed original source
     dst: int
-    created_at: SimTime
     size_bits: int
     path_so_far: list[int] = field(default_factory=list)
     payload: dict[str, Any] = field(default_factory=dict)
@@ -425,7 +424,7 @@ class Engine:
         self._packet_seq += 1
         return pid
 
-    def new_packet(self, kind: PacketKind, src: int, dst: int, created_at: SimTime, **flags: Any) -> Packet:
+    def new_packet(self, kind: PacketKind, src: int, dst: int, **flags: Any) -> Packet:
         """A packet from src with the next id and the configured size; its origin is src."""
         return Packet(
             packet_id=self.next_packet_id(),
@@ -433,7 +432,6 @@ class Engine:
             src=src,
             origin=src,
             dst=dst,
-            created_at=created_at,
             size_bits=self.config.energy.packet_size_bits,
             **flags,
         )
@@ -775,7 +773,7 @@ class Engine:
         cluster = self.topology.cluster_of(cell)
         relay = self.route_override_at(sensor, t)
         dst = relay if relay is not None else cluster
-        packet = self.new_packet(PacketKind.SENSOR_DATA, sensor, dst, t)
+        packet = self.new_packet(PacketKind.SENSOR_DATA, sensor, dst)
         if relay is not None:
             self.log.ground_truth.append(
                 GroundTruthEvent(

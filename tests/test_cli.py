@@ -239,18 +239,18 @@ class TestExitCodes:
         [
             pytest.param(
                 "{kind: SlotSpoof, start_us: 0, end_us: 2000000, cell: [0, 0], power_dbm: 99}",
-                "'attacks[0].power_dbm' is not used by a SlotSpoof attack",
+                "invalid section 'attacks[0]': 'power_dbm' is not used by a SlotSpoof attack",
                 id="spoof-power",
             ),
             pytest.param(
                 "{kind: Jamming, start_us: 0, end_us: 2000000, cell: [0, 0], sensor_index: 99}",
-                "'attacks[0].sensor_index' is not used by a Jamming attack",
+                "invalid section 'attacks[0]': 'sensor_index' is not used by a Jamming attack",
                 id="jamming-victim",
             ),
             pytest.param(
                 "{kind: NodeCompromise, start_us: 0, end_us: 2000000, target_role: regional, "
                 "region: 0, cell: [5, 5]}",
-                "'attacks[0].cell' is not used by a NodeCompromise attack",
+                "invalid section 'attacks[0]': 'cell' is not used by a NodeCompromise attack",
                 id="regional-cell",
             ),
             pytest.param(

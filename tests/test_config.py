@@ -1,11 +1,13 @@
 """Scenario configuration: strict parsing, canonical echo, stable hashing."""
 
+import dataclasses
 import re
 
 import pytest
 
-from hodsim.attacks import AttackKind
-from hodsim.config import ConfigError, ScenarioConfig
+from hodsim.attacks import AttackKind, AttackSpec
+from hodsim.config import ConfigError, ScenarioConfig, TopologyConfig
+from hodsim.simcore import MacConfig, RadioModel
 from hodsim.topology import HexCoord
 
 FULL_YAML = """\
@@ -123,9 +125,24 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="'seed' must be an integer >= 0"):
             ScenarioConfig.from_yaml("seed: -4\n")
 
-    @pytest.mark.parametrize("value", ["abc", "-0.1", ".nan", ".inf", "-.inf", "true", "[0.1]"])
-    def test_compare_tolerance_must_be_finite_and_non_negative(self, value):
-        with pytest.raises(ConfigError, match="'compare_tolerance' must be a finite number >= 0"):
+    # the type and finiteness checks are the ones every float field gets; the range check is the scenario's
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            pytest.param(value, f"'compare_tolerance' must be {message}", id=value)
+            for value, message in [
+                ("abc", "a number"),
+                ("-0.1", "a finite number >= 0"),
+                (".nan", "finite"),
+                (".inf", "finite"),
+                ("-.inf", "finite"),
+                ("true", "a number"),
+                ("[0.1]", "a number"),
+            ]
+        ],
+    )
+    def test_compare_tolerance_must_be_finite_and_non_negative(self, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             ScenarioConfig.from_yaml(f"compare_tolerance: {value}\n")
 
     def test_compare_tolerance_accepts_int_and_zero(self):
@@ -277,9 +294,70 @@ class TestStrictParsing:
         ],
     )
     def test_attack_field_its_kind_never_reads(self, attack, field):
-        message = rf"'attacks\[0\]\.{field}' is not used by a {attack['kind']} attack"
-        with pytest.raises(ConfigError, match=message):
+        message = f"invalid section 'attacks[0]': '{field}' is not used by a {attack['kind']} attack"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             ScenarioConfig.from_dict({"attacks": [{"start_us": 0, "end_us": 1, **attack}]})
+
+
+class TestBuiltInCode:
+    """The checks belong to the types, so a scenario built in code gets them too."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            pytest.param(
+                {"mac": MacConfig(frame_length=1)},
+                "'mac.frame_length' (1) must be >= 'topology.sensors_per_cell' (6)",
+                id="frame-length",
+            ),
+            pytest.param({"seed": -3}, "'seed' must be an integer >= 0, got -3", id="seed"),
+            pytest.param(
+                {"compare_tolerance": -1.0},
+                "'compare_tolerance' must be a finite number >= 0, got -1.0",
+                id="tolerance-negative",
+            ),
+            pytest.param(
+                {"compare_tolerance": float("nan")},
+                "'compare_tolerance' must be a finite number >= 0",
+                id="tolerance-nan",
+            ),
+        ],
+    )
+    def test_scenario_checks_run_at_construction(self, kwargs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig(**kwargs)
+
+    def test_attack_field_its_kind_never_reads(self):
+        message = "'power_dbm' is not used by a SlotSpoof attack (it takes kind, start_us, end_us, cell"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AttackSpec(
+                kind=AttackKind.SLOT_SPOOF, start_us=0, end_us=1000, cell=HexCoord(0, 0), power_dbm=99
+            )
+
+    def test_round_trip_through_yaml(self):
+        sc = ScenarioConfig(
+            topology=TopologyConfig(rings=1, sensors_per_cell=3),
+            radio=RadioModel(shadowing_sigma_db=4.0),
+            mac=MacConfig(frame_length=3),
+            attacks=[
+                AttackSpec(kind=AttackKind.JAMMING, start_us=0, end_us=1000, cell=HexCoord(1, 0)),
+                AttackSpec(
+                    kind=AttackKind.SLOT_SPOOF, start_us=0, end_us=1000, cell=HexCoord(0, 0), position=(1.0, 2.0)
+                ),
+            ],
+            seed=3,
+            compare_tolerance=1,
+        )
+        # stored as a float, as the YAML path stores it, so both echo 1.0
+        assert type(sc.compare_tolerance) is float
+        back = ScenarioConfig.from_yaml(sc.to_yaml())
+        assert back.echo() == sc.echo()
+        assert back.scenario_hash() == sc.scenario_hash()
+
+    def test_scenario_is_frozen(self):
+        sc = ScenarioConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.seed = 5
 
 
 class TestParseContent:

@@ -161,7 +161,6 @@ class TestCheckRoute:
             src=path[-2] if len(path) > 1 else origin,
             origin=origin,
             dst=dst,
-            created_at=0,
             size_bits=512,
             path_so_far=list(path),
         )
@@ -216,7 +215,6 @@ class TestClusterPipeline:
             src=origin,
             origin=origin,
             dst=self.cluster,
-            created_at=t_tx,
             size_bits=512,
             path_so_far=path if path is not None else [self.cluster],
         )
@@ -281,7 +279,6 @@ class TestClusterPipeline:
             src=self.cluster,
             origin=self.cluster,
             dst=self.cluster,
-            created_at=0,
             size_bits=512,
         )
         # a detour's first hop is data, but addressed to the relay sensor
@@ -292,7 +289,6 @@ class TestClusterPipeline:
             src=s0,
             origin=s0,
             dst=s1,
-            created_at=0,
             size_bits=512,
         )
         for packet in (hb, first_hop):

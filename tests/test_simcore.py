@@ -141,7 +141,6 @@ def data_packet(engine, src, dst, control=False, mac_exempt=True, long_range=Fal
         src=src,
         origin=src,
         dst=dst,
-        created_at=engine.now,
         size_bits=512,
         control=control,
         mac_exempt=mac_exempt,
@@ -311,7 +310,6 @@ class TestEngineMechanics:
             src=victim,
             origin=victim,
             dst=cluster,
-            created_at=0,
             size_bits=512,
             phantom_pos=(cx + 5.0, cy),
         )
