@@ -7,7 +7,7 @@ flat per-sensor IDS as the efficiency baseline.  Runs are reproducible
 byte-for-byte from (scenario, mode, seed).
 """
 
-from .attacks import AttackKind, AttackSpec, AttackSpecError, apply_attacks
+from .attacks import AttackKind, AttackSpec, AttackSpecError, TargetRole, apply_attacks
 from .config import ConfigError, ScenarioConfig
 from .detection import (
     Alert,
@@ -32,6 +32,7 @@ from .metrics import (
 )
 from .simcore import (
     ChannelWindowStats,
+    CompromiseMode,
     Engine,
     EnergyModel,
     GroundTruthEvent,
@@ -57,6 +58,7 @@ __all__ = [
     "BaseAlertRecord",
     "ChannelWindowStats",
     "ComparisonReport",
+    "CompromiseMode",
     "ConfigError",
     "ConnectivityGraph",
     "DetectorThresholds",
@@ -79,6 +81,7 @@ __all__ = [
     "SchedulingError",
     "SmacSchedule",
     "SummaryReport",
+    "TargetRole",
     "TdmaSchedule",
     "Topology",
     "TraceEvent",

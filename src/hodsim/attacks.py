@@ -36,7 +36,7 @@ from .simcore import (
     PacketKind,
 )
 from .mac import is_awake, slot_owner_at
-from .topology import HexCoord, NodeRole, axial_to_xy, suspect_cell, suspect_node
+from .topology import HexCoord, axial_to_xy, suspect_cell, suspect_node
 
 
 class AttackKind(enum.Enum):
@@ -45,6 +45,15 @@ class AttackKind(enum.Enum):
     SLEEP_REPLAY = "SleepReplay"
     ROUTE_DEVIATION = "RouteDeviation"
     NODE_COMPROMISE = "NodeCompromise"
+
+
+class TargetRole(enum.Enum):
+    CLUSTER = "cluster"
+    REGIONAL = "regional"
+
+
+# the enum fields of AttackSpec; each also takes its value, as YAML gives it
+_ENUM_FIELDS = {"kind": AttackKind, "target_role": TargetRole, "compromise_mode": CompromiseMode}
 
 
 class AttackSpecError(ValueError):
@@ -65,11 +74,18 @@ class AttackSpec:
     sensor_index: int = 0  # victim, as an index into the cell's sensors
     relay_index: int | None = None  # deviation detour; default nearest sensor
     # node compromise
-    target_role: str = "cluster"  # "cluster" | "regional"
+    target_role: TargetRole = TargetRole.CLUSTER
     region: int | None = None
-    compromise_mode: str = "Silent"  # "Silent" | "FalseData"
+    compromise_mode: CompromiseMode = CompromiseMode.SILENT
 
     def __post_init__(self) -> None:
+        for name, cls in _ENUM_FIELDS.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, cls(value))
+            except ValueError:
+                allowed = ", ".join(repr(m.value) for m in cls)
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}") from None
         # a field the kind never reads would be ignored in silence; its default is what the echo writes
         read = fields_read(self)
         for f in fields(self):
@@ -90,15 +106,14 @@ _READS: dict[AttackKind, frozenset[str]] = {
     AttackKind.ROUTE_DEVIATION: frozenset({"cell", "sensor_index", "relay_index"}),
     AttackKind.NODE_COMPROMISE: frozenset({"target_role", "compromise_mode"}),
 }
-_TARGET_FIELD = {"cluster": {"cell"}, "regional": {"region"}}
+_TARGET_FIELD = {TargetRole.CLUSTER: {"cell"}, TargetRole.REGIONAL: {"region"}}
 
 
 def fields_read(spec: AttackSpec) -> frozenset[str]:
     """The fields of spec that its kind's injector reads; any other field is ignored."""
     read = _READS[spec.kind] | {"kind", "start_us", "end_us"}
     if spec.kind is AttackKind.NODE_COMPROMISE:
-        # an unknown role reads both, so that the injector reports the role itself
-        read |= _TARGET_FIELD.get(spec.target_role, {"cell", "region"})
+        read |= _TARGET_FIELD[spec.target_role]
     return read
 
 
@@ -280,39 +295,23 @@ def inject_route_deviation(engine: Engine, spec: AttackSpec, rng: random.Random)
 
 def inject_node_compromise(engine: Engine, spec: AttackSpec, rng: random.Random) -> None:
     topo = engine.topology
-    if spec.target_role == "cluster":
-        cell = _resolve_cell(engine, spec)
-        target = topo.cluster_of(cell)
-    elif spec.target_role == "regional":
+    if spec.target_role is TargetRole.CLUSTER:
+        target = topo.cluster_of(_resolve_cell(engine, spec))
+    else:
         _require(spec.region is not None, "NodeCompromise: region id is required for regional targets")
         _require(
             spec.region in topo.regional_by_region,
             f"NodeCompromise: region {spec.region} does not exist",
         )
         target = topo.regional_by_region[spec.region]
-    else:
-        raise AttackSpecError(
-            f"NodeCompromise: target_role must be 'cluster' or 'regional', got {spec.target_role!r}"
-        )
-    _require(
-        topo.role(target) in (NodeRole.CLUSTER, NodeRole.REGIONAL),
-        "NodeCompromise: only monitor nodes can be compromised",
-    )
-    try:
-        mode = CompromiseMode(spec.compromise_mode)
-    except ValueError as exc:
-        raise AttackSpecError(
-            f"NodeCompromise: compromise_mode must be 'Silent' or 'FalseData', "
-            f"got {spec.compromise_mode!r}"
-        ) from exc
     _check_interval(engine, spec)
-    engine.compromise.setdefault(target, []).append((spec.start_us, spec.end_us, mode))
+    engine.compromise.setdefault(target, []).append((spec.start_us, spec.end_us, spec.compromise_mode))
     engine.log.ground_truth.append(
         GroundTruthEvent(
             time_us=spec.start_us,
             kind=AttackKind.NODE_COMPROMISE.value,
             target=suspect_node(target),
-            detail=mode.value,
+            detail=spec.compromise_mode.value,
             end_us=spec.end_us,
         )
     )

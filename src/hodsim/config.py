@@ -154,11 +154,6 @@ def _convert(hint: Any, value: Any, path: str) -> Any:
         return [_build(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
     if typing.get_origin(hint) is tuple:
         return _parse_position(value, path)
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        try:
-            return value if isinstance(value, hint) else hint(str(value))
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for '{path}': {exc}") from exc
     _check_type(hint, value, path)
     return value
 
@@ -246,9 +241,6 @@ class ScenarioConfig:
     def echo(self) -> dict[str, Any]:
         """Canonical fully-resolved form: every knob explicit, enums as names."""
         return _canonical(self)
-
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.echo(), sort_keys=False)
 
     def scenario_hash(self, seed: int | None = None) -> str:
         """sha256 of the canonical scenario plus the effective seed.

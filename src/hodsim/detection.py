@@ -173,7 +173,6 @@ class ConnectivityGraph:
     """
 
     def __init__(self, topology: Topology, short_range_m: float) -> None:
-        self.topology = topology
         n = len(topology.nodes)
         self.adj: list[list[int]] = [[] for _ in range(n)]
         for a in range(n):

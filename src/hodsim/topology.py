@@ -19,10 +19,6 @@ from dataclasses import dataclass, field
 
 SQRT3 = math.sqrt(3.0)
 
-# Axial neighbor offsets, fixed order (E, NE, N, W, SW, S for flat-top).
-HEX_DIRS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
-
-
 @dataclass(frozen=True, order=True)
 class HexCoord:
     """Axial hex coordinate."""
@@ -45,11 +41,6 @@ def suspect_node(node_id: int) -> str:
 
 def suspect_cell(cell: HexCoord) -> str:
     return f"cell:{cell.q},{cell.r}"
-
-
-def hex_neighbors(c: HexCoord) -> list[HexCoord]:
-    """The six adjacent cells, in fixed HEX_DIRS order."""
-    return [HexCoord(c.q + dq, c.r + dr) for dq, dr in HEX_DIRS]
 
 
 def build_hex_grid(rings: int) -> list[HexCoord]:
@@ -75,16 +66,6 @@ def axial_to_xy(c: HexCoord, cell_radius_m: float) -> tuple[float, float]:
     x = 1.5 * cell_radius_m * c.q
     y = SQRT3 * cell_radius_m * (c.r + c.q / 2.0)
     return (x, y)
-
-
-def hex_corners(c: HexCoord, cell_radius_m: float) -> list[tuple[float, float]]:
-    """The six corners of a flat-top hexagonal cell."""
-    cx, cy = axial_to_xy(c, cell_radius_m)
-    out = []
-    for k in range(6):
-        ang = math.pi / 3.0 * k
-        out.append((cx + cell_radius_m * math.cos(ang), cy + cell_radius_m * math.sin(ang)))
-    return out
 
 
 def point_in_hex(x: float, y: float, c: HexCoord, cell_radius_m: float) -> bool:
@@ -120,15 +101,12 @@ def group_regions(cells: list[HexCoord]) -> list[tuple[HexCoord, ...]]:
     Returns region member tuples sorted by anchor; members sorted by (q, r).
     For a centered patch of r rings this yields (r + 1)**2 regions.
     """
-    present = set(cells)
     by_anchor: dict[HexCoord, list[HexCoord]] = {}
     for c in cells:
         by_anchor.setdefault(region_anchor(c), []).append(c)
     regions = []
     for anchor in sorted(by_anchor):
-        members = tuple(sorted(by_anchor[anchor]))
-        assert all(m in present for m in members)
-        regions.append(members)
+        regions.append(tuple(sorted(by_anchor[anchor])))
     return regions
 
 
@@ -148,15 +126,11 @@ class Node:
     cell: HexCoord | None
     x: float
     y: float
-    region_id: int | None
 
 
 @dataclass
 class Topology:
-    rings: int
     cell_radius_m: float
-    sensors_per_cell: int
-    seed: int
     cells: list[HexCoord]
     regions: list[tuple[HexCoord, ...]]
     nodes: list[Node] = field(default_factory=list)
@@ -191,24 +165,6 @@ class Topology:
 
     def regional_of_cell(self, cell: HexCoord) -> int:
         return self.regional_by_region[self.region_of_cell[cell]]
-
-    def parent_of(self, node_id: int) -> int | None:
-        """Next hop up the reporting hierarchy, None for the base station."""
-        n = self.nodes[node_id]
-        if n.role is NodeRole.SENSOR:
-            return self.cluster_by_cell[n.cell]
-        if n.role is NodeRole.CLUSTER:
-            return self.regional_by_region[n.region_id]
-        if n.role is NodeRole.REGIONAL:
-            return self.base_id
-        return None
-
-    def containing_cell(self, x: float, y: float) -> HexCoord | None:
-        """Cell containing (x, y); boundary ties go to the smallest (q, r)."""
-        for c in self.cells:  # cells are sorted, so ties resolve deterministically
-            if point_in_hex(x, y, c, self.cell_radius_m):
-                return c
-        return None
 
     def bounding_radius_m(self) -> float:
         return max(
@@ -257,23 +213,13 @@ def build_topology(
         raise ValueError("cell_radius_m must be > 0")
     cells = build_hex_grid(rings)
     regions = group_regions(cells)
-    topo = Topology(
-        rings=rings,
-        cell_radius_m=cell_radius_m,
-        sensors_per_cell=sensors_per_cell,
-        seed=seed,
-        cells=cells,
-        regions=regions,
-    )
-    for rid, members in enumerate(regions):
-        for c in members:
-            topo.region_of_cell[c] = rid
+    topo = Topology(cell_radius_m=cell_radius_m, cells=cells, regions=regions)
 
     nodes: list[Node] = []
     for c in cells:
         x, y = axial_to_xy(c, cell_radius_m)
         nid = len(nodes)
-        nodes.append(Node(nid, NodeRole.CLUSTER, c, x, y, topo.region_of_cell[c]))
+        nodes.append(Node(nid, NodeRole.CLUSTER, c, x, y))
         topo.cluster_by_cell[c] = nid
 
     rng = random.Random(f"{seed}|placement")
@@ -282,38 +228,21 @@ def build_topology(
         for _ in range(sensors_per_cell):
             x, y = _sample_point_in_hex(rng, c, cell_radius_m)
             nid = len(nodes)
-            nodes.append(Node(nid, NodeRole.SENSOR, c, x, y, topo.region_of_cell[c]))
+            nodes.append(Node(nid, NodeRole.SENSOR, c, x, y))
             ids.append(nid)
         topo.sensors_by_cell[c] = ids
 
     for rid, members in enumerate(regions):
+        for c in members:
+            topo.region_of_cell[c] = rid
         xs, ys = zip(*(axial_to_xy(c, cell_radius_m) for c in members))
         nid = len(nodes)
-        nodes.append(
-            Node(nid, NodeRole.REGIONAL, None, sum(xs) / len(xs), sum(ys) / len(ys), rid)
-        )
+        nodes.append(Node(nid, NodeRole.REGIONAL, None, sum(xs) / len(xs), sum(ys) / len(ys)))
         topo.regional_by_region[rid] = nid
 
     topo.nodes = nodes
     base_x = 3.0 * topo.bounding_radius_m()
     topo.base_id = len(nodes)
-    nodes.append(Node(topo.base_id, NodeRole.BASE, None, base_x, 0.0, None))
+    nodes.append(Node(topo.base_id, NodeRole.BASE, None, base_x, 0.0))
     return topo
 
-
-def topology_dump(topo: Topology) -> str:
-    """Stable text dump: one node per line (id, role, cell, x, y, region)."""
-    lines = [
-        "# id\trole\tcell_q\tcell_r\tx_m\ty_m\tregion",
-        f"# rings={topo.rings} cells={len(topo.cells)} regions={len(topo.regions)} "
-        f"sensors_per_cell={topo.sensors_per_cell} cell_radius_m={topo.cell_radius_m:g} "
-        f"seed={topo.seed}",
-    ]
-    for n in topo.nodes:
-        cq = str(n.cell.q) if n.cell is not None else "-"
-        cr = str(n.cell.r) if n.cell is not None else "-"
-        reg = str(n.region_id) if n.region_id is not None else "-"
-        lines.append(
-            f"{n.node_id}\t{n.role.value}\t{cq}\t{cr}\t{n.x:.6f}\t{n.y:.6f}\t{reg}"
-        )
-    return "\n".join(lines) + "\n"

@@ -98,14 +98,7 @@ class TestSpecValidation:
         self.check(make_engine(), spec, "out of range")
 
     def test_compromise_role_and_region(self):
-        bad_role = AttackSpec(
-            kind=AttackKind.NODE_COMPROMISE,
-            start_us=0,
-            end_us=1_000_000,
-            cell=CELL,
-            target_role="base",
-        )
-        self.check(make_engine(), bad_role, "target_role")
+        # an unknown target_role is refused when the spec is built (test_config.TestUnknownEnumValue)
         no_region = AttackSpec(
             kind=AttackKind.NODE_COMPROMISE,
             start_us=0,
@@ -123,14 +116,13 @@ class TestSpecValidation:
         self.check(make_engine(), bad_region, "does not exist")
 
     def test_compromise_mode_string(self):
+        # the enum's value is accepted in its place; any other string is refused at construction
         spec = AttackSpec(
-            kind=AttackKind.NODE_COMPROMISE,
-            start_us=0,
-            end_us=1_000_000,
-            cell=CELL,
-            compromise_mode="Chatty",
+            kind=AttackKind.NODE_COMPROMISE, start_us=0, end_us=1_000_000, cell=CELL, compromise_mode="FalseData"
         )
-        self.check(make_engine(), spec, "compromise_mode")
+        assert spec.compromise_mode is CompromiseMode.FALSE_DATA
+        with pytest.raises(ValueError, match="compromise_mode must be one of 'Silent', 'FalseData', got 'Chatty'"):
+            AttackSpec(kind=AttackKind.NODE_COMPROMISE, start_us=0, end_us=1_000_000, compromise_mode="Chatty")
 
 
 class TestJammingInjection:

@@ -7,11 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from hodsim.cli import main
+from hodsim.config import ScenarioConfig
 
 SCENARIO = """\
 topology:
@@ -383,3 +385,32 @@ class TestBundledExamples:
             h.update(f"{path.name}\0{len(data)}\0".encode())
             h.update(data)
         assert h.hexdigest() == EXAMPLE_DIGESTS[name]
+
+
+class TestTraceLedger:
+    """The trace of each bundled example recomputes the message and energy totals in its metrics.
+
+    A forged (phantom) send writes a tx row too, and only its zero energy tells
+    it from a metered send: an attacker's radio spends no metered energy.  So
+    `total_messages` counts the tx rows with energy > 0, which holds only
+    while the tx energy coefficients are > 0; the test checks that they are.
+    """
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_DIGESTS))
+    def test_metrics_match_the_trace(self, name, tmp_path, capsys):
+        config = EXAMPLES / f"{name}.yaml"
+        assert ScenarioConfig.from_file(str(config)).energy.e_elec_j_per_bit > 0
+        out = tmp_path / "out"
+        assert run_cli(str(config), out, "--mode", "compare", "--seed", "1") == 0
+        capsys.readouterr()
+        for mode in ("hod", "flat"):
+            with open(out / f"trace_{mode}_1.csv", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+            tx = [r for r in rows if r["event"] == "tx"]
+            metered = [r for r in rows if r["event"] in ("tx", "rx", "idle", "rule_eval")]
+            energy_uj = sum(Decimal(r["energy_uj"]) for r in metered)
+            with open(out / f"metrics_{mode}.csv", encoding="utf-8") as fh:
+                (metrics,) = csv.DictReader(fh)
+            assert int(metrics["total_messages"]) == sum(Decimal(r["energy_uj"]) > 0 for r in tx)
+            assert int(metrics["ids_control_messages"]) == sum(r["control"] == "1" for r in tx)
+            assert metrics["energy_total_j"] == f"{energy_uj / 1_000_000:.9f}"

