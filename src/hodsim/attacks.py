@@ -16,9 +16,10 @@ detection surface:
 * NodeCompromise - a cluster or regional node goes Silent (emits nothing) or
                    FalseData (keeps reporting, suppresses all alerts).
 
-Injection happens before the event loop starts; every sampled emission time
-and every ground-truth record derives from a per-attack seeded stream, so a
-scenario replays identically.  Attacker radios are external: they spend no
+A spec is checked when it is built, and fitted to its scenario when that is
+built (check_attacks_fit).  Injection happens before the event loop starts;
+every sampled emission time and every ground-truth record derives from a
+per-attack seeded stream, so a scenario replays identically.  Attacker radios are external: they spend no
 metered energy and appear in no message counters.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 from .simcore import (
     CompromiseMode,
@@ -36,7 +38,10 @@ from .simcore import (
     PacketKind,
 )
 from .mac import is_awake, slot_owner_at
-from .topology import HexCoord, axial_to_xy, suspect_cell, suspect_node
+from .topology import HexCoord, axial_to_xy, hex_distance, suspect_cell, suspect_node
+
+if TYPE_CHECKING:
+    from .config import ScenarioConfig
 
 
 class AttackKind(enum.Enum):
@@ -57,7 +62,7 @@ _ENUM_FIELDS = {"kind": AttackKind, "target_role": TargetRole, "compromise_mode"
 
 
 class AttackSpecError(ValueError):
-    """An attack spec is inconsistent with the topology or schedules."""
+    """A forgery's interval holds no emission time that meets its schedule constraints."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,18 @@ class AttackSpec:
                 raise ValueError(
                     f"'{f.name}' is not used by a {self.kind.value} attack (it takes {takes})"
                 )
+        # the checks that need the spec alone; check_attacks_fit makes those that need its scenario
+        if not 0 <= self.start_us < self.end_us:
+            raise ValueError(f"need 0 <= start_us < end_us, got {self.start_us} and {self.end_us}")
+        for name in ("cell", "region"):
+            if name in read and getattr(self, name) is None:
+                raise ValueError(f"a {self.kind.value} attack needs '{name}'")
+        if self.packet_count < 1:
+            raise ValueError(f"packet_count must be >= 1, got {self.packet_count}")
+        for name in ("sensor_index", "relay_index", "region"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 # the AttackSpec fields each kind's injector reads; NodeCompromise also reads
@@ -117,42 +134,45 @@ def fields_read(spec: AttackSpec) -> frozenset[str]:
     return read
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise AttackSpecError(msg)
+def check_attacks_fit(scenario: ScenarioConfig) -> None:
+    """Raise ValueError, naming 'attacks[i].<field>', for the first attack that does not fit
+    its scenario's grid, schedules or horizon; only _sample_time can then refuse an attack."""
+    topo, sim = scenario.topology, scenario.sim
+    horizon_us = sim.horizon_windows * sim.aggregation_window_us
+    n_regions = (topo.rings + 1) ** 2  # group_regions' count for a centered patch
+    n_sensors = topo.sensors_per_cell
+    # a field the kind does not read holds its default, None or sensor_index 0, which always fits
+    for i, spec in enumerate(scenario.attacks):
+        at = f"'attacks[{i}]"
+        if spec.end_us > horizon_us:
+            raise ValueError(f"{at}.end_us' ({spec.end_us}) is past the horizon ({horizon_us} us)")
+        if spec.cell is not None and hex_distance(spec.cell, HexCoord(0, 0)) > topo.rings:
+            cell = f"{spec.cell.q},{spec.cell.r}"
+            raise ValueError(f"{at}.cell' ({cell}) is not in the grid of {topo.rings} rings")
+        if spec.region is not None and spec.region >= n_regions:
+            last = n_regions - 1
+            raise ValueError(f"{at}.region' ({spec.region}) does not exist: the grid has regions 0 to {last}")
+        for name in ("sensor_index", "relay_index"):
+            index = getattr(spec, name)
+            if index is not None and index >= n_sensors:
+                raise ValueError(f"{at}.{name}' ({index}) is past the {n_sensors} sensors of a cell")
+        if spec.relay_index == spec.sensor_index:
+            raise ValueError(f"{at}.relay_index' ({spec.relay_index}) is the victim's own sensor_index")
+        # a forged slot or a detour relay needs a second sensor in the cell
+        if spec.kind in (AttackKind.SLOT_SPOOF, AttackKind.ROUTE_DEVIATION) and n_sensors < 2:
+            raise ValueError(f"{at}.kind' ({spec.kind.value}) needs topology.sensors_per_cell >= 2")
+        if spec.kind is AttackKind.SLEEP_REPLAY and scenario.mac.awake_fraction >= 1.0:
+            raise ValueError(f"{at}.kind' (SleepReplay) needs a cell that sleeps: mac.awake_fraction < 1")
 
 
-def _resolve_cell(engine: Engine, spec: AttackSpec) -> HexCoord:
-    _require(spec.cell is not None, f"{spec.kind.value}: target cell is required")
-    _require(
-        spec.cell in engine.topology.cluster_by_cell,
-        f"{spec.kind.value}: cell ({spec.cell.q},{spec.cell.r}) is not in the grid",
-    )
-    return spec.cell
-
-
-def _resolve_victim(engine: Engine, spec: AttackSpec, cell: HexCoord) -> int:
-    sensors = engine.topology.sensors_of(cell)
-    _require(
-        0 <= spec.sensor_index < len(sensors),
-        f"{spec.kind.value}: sensor_index {spec.sensor_index} out of range "
-        f"(cell has {len(sensors)} sensors)",
-    )
-    return sensors[spec.sensor_index]
-
-
-def _emitter_position(engine: Engine, spec: AttackSpec, cell: HexCoord) -> tuple[float, float]:
+def _emitter_position(engine: Engine, spec: AttackSpec) -> tuple[float, float]:
     if spec.position is not None:
         return spec.position
-    return axial_to_xy(cell, engine.topology.cell_radius_m)
+    return axial_to_xy(spec.cell, engine.topology.cell_radius_m)
 
 
-def _check_interval(engine: Engine, spec: AttackSpec) -> None:
-    _require(
-        0 <= spec.start_us < spec.end_us <= engine.log.horizon_us,
-        f"{spec.kind.value}: interval [{spec.start_us}, {spec.end_us}) must lie "
-        f"within [0, {engine.log.horizon_us}]",
-    )
+def _victim(engine: Engine, spec: AttackSpec) -> int:
+    return engine.topology.sensors_of(spec.cell)[spec.sensor_index]
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +181,7 @@ def _check_interval(engine: Engine, spec: AttackSpec) -> None:
 
 
 def inject_jamming(engine: Engine, spec: AttackSpec, rng: random.Random) -> None:
-    cell = _resolve_cell(engine, spec)
-    _check_interval(engine, spec)
-    x, y = _emitter_position(engine, spec, cell)
+    x, y = _emitter_position(engine, spec)
     engine.interference.append(
         InterferenceSource(x=x, y=y, power_dbm=spec.power_dbm, start_us=spec.start_us, end_us=spec.end_us)
     )
@@ -171,7 +189,7 @@ def inject_jamming(engine: Engine, spec: AttackSpec, rng: random.Random) -> None
         GroundTruthEvent(
             time_us=spec.start_us,
             kind=AttackKind.JAMMING.value,
-            target=suspect_cell(cell),
+            target=suspect_cell(spec.cell),
             detail=f"{spec.power_dbm:g} dBm at ({x:.1f},{y:.1f})",
             end_us=spec.end_us,
         )
@@ -179,21 +197,12 @@ def inject_jamming(engine: Engine, spec: AttackSpec, rng: random.Random) -> None
 
 
 def _schedule_forgeries(
-    engine: Engine,
-    spec: AttackSpec,
-    rng: random.Random,
-    cell: HexCoord,
-    victim: int,
-    accept,
-    fallback,
+    engine: Engine, spec: AttackSpec, rng: random.Random, victim: int, accept, fallback
 ) -> None:
+    cell = spec.cell
     cluster = engine.topology.cluster_of(cell)
-    pos = _emitter_position(engine, spec, cell)
-    _require(spec.packet_count >= 1, f"{spec.kind.value}: packet_count must be >= 1")
-    times: list[int] = []
-    for _ in range(spec.packet_count):
-        t = _sample_time(rng, spec, accept, fallback)
-        times.append(t)
+    pos = _emitter_position(engine, spec)
+    times = [_sample_time(rng, spec, accept, fallback) for _ in range(spec.packet_count)]
     for t in sorted(times):
         # forged link-layer identity, sent from the attacker's position
         packet = engine.new_packet(PacketKind.ATTACK_TRAFFIC, victim, cluster, phantom_pos=pos)
@@ -226,33 +235,20 @@ def _sample_time(rng, spec, accept, fallback, tries: int = 20_000) -> int:
 
 
 def inject_slot_spoof(engine: Engine, spec: AttackSpec, rng: random.Random) -> None:
-    cell = _resolve_cell(engine, spec)
-    victim = _resolve_victim(engine, spec, cell)
-    tdma = engine.tdma[cell]
-    smac = engine.smac[cell]
-    _require(
-        tdma.owners() != {victim},
-        "SlotSpoof: every slot in the frame belongs to the spoofed origin; "
-        "no foreign slot exists",
-    )
-    _check_interval(engine, spec)
+    victim = _victim(engine, spec)
+    tdma = engine.tdma[spec.cell]
+    smac = engine.smac[spec.cell]
 
     def foreign_awake(t: int) -> bool:
         return slot_owner_at(tdma, t) != victim and is_awake(smac, t)
 
-    _schedule_forgeries(engine, spec, rng, cell, victim, foreign_awake, None)
+    _schedule_forgeries(engine, spec, rng, victim, foreign_awake, None)
 
 
 def inject_sleep_replay(engine: Engine, spec: AttackSpec, rng: random.Random) -> None:
-    cell = _resolve_cell(engine, spec)
-    victim = _resolve_victim(engine, spec, cell)
-    tdma = engine.tdma[cell]
-    smac = engine.smac[cell]
-    _require(
-        smac.awake_fraction < 1.0,
-        "SleepReplay: the cell never sleeps (awake_fraction = 1), nothing to replay into",
-    )
-    _check_interval(engine, spec)
+    victim = _victim(engine, spec)
+    tdma = engine.tdma[spec.cell]
+    smac = engine.smac[spec.cell]
 
     def asleep_own_slot(t: int) -> bool:
         # preferred: inside the sleep window and the victim's own slot, so the
@@ -262,28 +258,14 @@ def inject_sleep_replay(engine: Engine, spec: AttackSpec, rng: random.Random) ->
     def asleep(t: int) -> bool:
         return not is_awake(smac, t)
 
-    _schedule_forgeries(engine, spec, rng, cell, victim, asleep_own_slot, asleep)
+    _schedule_forgeries(engine, spec, rng, victim, asleep_own_slot, asleep)
 
 
 def inject_route_deviation(engine: Engine, spec: AttackSpec, rng: random.Random) -> None:
-    cell = _resolve_cell(engine, spec)
-    victim = _resolve_victim(engine, spec, cell)
-    sensors = engine.topology.sensors_of(cell)
-    _require(
-        len(sensors) >= 2,
-        "RouteDeviation: the cell has no second sensor to act as a detour relay",
-    )
-    _check_interval(engine, spec)
+    victim = _victim(engine, spec)
+    sensors = engine.topology.sensors_of(spec.cell)
     if spec.relay_index is not None:
-        _require(
-            0 <= spec.relay_index < len(sensors),
-            f"RouteDeviation: relay_index {spec.relay_index} out of range",
-        )
         relay = sensors[spec.relay_index]
-        _require(
-            relay != victim,
-            "RouteDeviation: the detour relay must differ from the best-route next hop",
-        )
     else:
         relay = min(
             (s for s in sensors if s != victim),
@@ -296,15 +278,9 @@ def inject_route_deviation(engine: Engine, spec: AttackSpec, rng: random.Random)
 def inject_node_compromise(engine: Engine, spec: AttackSpec, rng: random.Random) -> None:
     topo = engine.topology
     if spec.target_role is TargetRole.CLUSTER:
-        target = topo.cluster_of(_resolve_cell(engine, spec))
+        target = topo.cluster_of(spec.cell)
     else:
-        _require(spec.region is not None, "NodeCompromise: region id is required for regional targets")
-        _require(
-            spec.region in topo.regional_by_region,
-            f"NodeCompromise: region {spec.region} does not exist",
-        )
         target = topo.regional_by_region[spec.region]
-    _check_interval(engine, spec)
     engine.compromise.setdefault(target, []).append((spec.start_us, spec.end_us, spec.compromise_mode))
     engine.log.ground_truth.append(
         GroundTruthEvent(
@@ -326,8 +302,8 @@ _INJECTORS = {
 }
 
 
-def apply_attacks(engine: Engine, specs: list[AttackSpec]) -> None:
-    """Validate and inject all attacks; must run before engine.run()."""
-    for i, spec in enumerate(specs):
+def apply_attacks(engine: Engine) -> None:
+    """Inject engine.config.attacks in order, each from its own seeded stream; run before engine.run()."""
+    for i, spec in enumerate(engine.config.attacks):
         rng = random.Random(f"{engine.seed}|attack|{i}")
         _INJECTORS[spec.kind](engine, spec, rng)

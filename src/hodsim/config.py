@@ -6,11 +6,12 @@ scenario, its sections, each attack) by each field's annotation, and any key
 the schema does not define, a key given twice or a value of the wrong type
 raises ConfigError naming the offending path, so a typo cannot silently fall
 back to a default.  Every range and cross-field check (an attack field its
-kind never reads among them) is the __post_init__ of the type that holds the
-values, so it runs wherever a scenario is built, in code or from YAML.  The
-canonical form (echo) is what gets hashed; the hash covers every resolved
-value plus the seed but never the mode, so the hierarchical and flat runs of
-one scenario share a hash and remain comparable.
+kind never reads, or an attack that does not fit the grid, among them) is the
+__post_init__ of the type that holds the values, so it runs wherever a
+scenario is built, in code or from YAML.  The canonical form (echo) is what
+gets hashed; the hash covers every resolved value plus the seed but never the
+mode, so the hierarchical and flat runs of one scenario share a hash and
+remain comparable.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from typing import Any
 
 import yaml
 
-from .attacks import AttackSpec
+from .attacks import AttackSpec, check_attacks_fit
 from .detection import DetectorThresholds
 from .simcore import EnergyModel, MacConfig, RadioModel, WorkloadConfig
-from .topology import HexCoord
+from .topology import HexCoord, uplink_ends
 
 
 class ConfigError(ValueError):
@@ -210,6 +211,21 @@ class ScenarioConfig:
                 f"'mac.frame_length' ({frame_length}) must be >= 'topology.sensors_per_cell' "
                 f"({self.topology.sensors_per_cell}): every sensor needs a slot"
             )
+        radio = self.radio
+        if not radio.long_range_reliable:
+            regionals, (base_x, base_y) = uplink_ends(self.topology.rings, self.topology.cell_radius_m)
+            farthest_m = max(math.hypot(x - base_x, y - base_y) for x, y in regionals)
+            rssi = radio.deterministic_rssi(farthest_m)
+            if rssi < radio.rx_sensitivity_dbm:
+                raise ConfigError(
+                    f"'radio.long_range_reliable' is false, but the farthest regional, {farthest_m:.0f} m "
+                    f"from the base, reaches it at {rssi:.1f} dBm, below 'radio.rx_sensitivity_dbm' "
+                    f"({radio.rx_sensitivity_dbm}): raise 'radio.tx_power_dbm' or make the uplink reliable"
+                )
+        try:
+            check_attacks_fit(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def thresholds(self) -> DetectorThresholds:

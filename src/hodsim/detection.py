@@ -51,6 +51,7 @@ from .simcore import (
     RadioModel,
     RunLog,
     SimTime,
+    active_at,
 )
 from .topology import HexCoord, NodeRole, Topology, suspect_cell, suspect_node
 
@@ -509,7 +510,7 @@ class HodMonitors:
 
     def _cluster_step(self, cluster: int, cell: HexCoord, window: int) -> None:
         eng = self.engine
-        mode = eng.compromise_mode_at(cluster, eng.now)
+        mode = active_at(eng.compromise, cluster, eng.now)
         if mode is CompromiseMode.SILENT:
             return
         received = eng.inboxes[cluster]
@@ -563,7 +564,7 @@ class HodMonitors:
     def _regional_step(self, regional: int, rid: int, window: int) -> None:
         eng = self.engine
         topo = eng.topology
-        mode = eng.compromise_mode_at(regional, eng.now)
+        mode = active_at(eng.compromise, regional, eng.now)
         if mode is CompromiseMode.SILENT:
             return
         received = eng.inboxes[regional]

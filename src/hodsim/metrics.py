@@ -29,7 +29,7 @@ from .detection import (
     match_alerts,
 )
 from .simcore import Engine, RunLog
-from .topology import NodeRole, Topology, build_topology
+from .topology import NodeRole, Topology
 
 ATTACK_KINDS = tuple(RULES_FOR_KIND)  # canonical column order
 
@@ -302,19 +302,13 @@ def compare(hod: Metrics, flat: Metrics, tolerance: float = 0.1) -> ComparisonRe
 
 
 def run_scenario(scenario: ScenarioConfig, mode: str, seed: int) -> tuple[RunLog, Topology]:
-    """Build topology and engine for one (scenario, mode, seed) and run it."""
+    """Run one (scenario, mode, seed): the engine, its monitors, the scenario's attacks."""
     if mode not in ("hod", "flat"):
         raise ValueError(f"mode must be 'hod' or 'flat', got {mode!r}")
-    topology = build_topology(
-        rings=scenario.topology.rings,
-        sensors_per_cell=scenario.topology.sensors_per_cell,
-        cell_radius_m=scenario.topology.cell_radius_m,
-        seed=seed,
-    )
-    engine = Engine(topology, scenario, seed, mode)
+    engine = Engine(scenario, seed, mode)
     (HodMonitors if mode == "hod" else FlatMonitors)(engine)
-    apply_attacks(engine, scenario.attacks)
-    return engine.run(), topology
+    apply_attacks(engine)
+    return engine.run(), engine.topology
 
 
 def rows_to_csv(rows: list[dict[str, Any]]) -> str:

@@ -1,9 +1,10 @@
 """Deterministic discrete-event core: clock, radio, energy, workload, windows.
 
 The engine runs the one ScenarioConfig it is given and keeps it as
-Engine.config: the radio, energy, mac, workload and sim (timing) sections are
-read from it, and the run log's scenario hash and config echo are derived from
-it, so a run always reports the configuration it ran.
+Engine.config: it builds its topology from the topology section and the seed,
+reads every other section from it (apply_attacks(engine) injects its attacks),
+and derives the run log's scenario hash and config echo from it, so a run
+always reports the configuration it ran.
 
 Everything runs on an integer microsecond clock.  Each event is a handler and
 its one argument (a hop record, a packet or a window index), kept on the
@@ -63,7 +64,7 @@ from .mac import (
     is_awake,
     next_compliant_slot,
 )
-from .topology import HexCoord, NodeRole, Topology, suspect_node
+from .topology import HexCoord, NodeRole, build_topology, suspect_node
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -342,6 +343,14 @@ class _PendingTx:
     in_range: bool
 
 
+def active_at(intervals: dict[Any, list[tuple[SimTime, SimTime, Any]]], key: Any, t: SimTime) -> Any:
+    """The value of key's first (start, end, value) interval that holds t, or None."""
+    for start, end, value in intervals.get(key, ()):
+        if start <= t < end:
+            return value
+    return None
+
+
 # ============================================================================
 # Engine
 # ============================================================================
@@ -350,8 +359,10 @@ class _PendingTx:
 class Engine:
     """Runs one scenario: owns the clock, the radio, and all per-window accounting."""
 
-    def __init__(self, topology: Topology, config: ScenarioConfig, seed: int, mode: str) -> None:
-        self.topology = topology
+    def __init__(self, config: ScenarioConfig, seed: int, mode: str) -> None:
+        self.topology = topology = build_topology(
+            config.topology.rings, config.topology.sensors_per_cell, config.topology.cell_radius_m, seed
+        )
         self.config = config
         self.seed = seed
         self.now: SimTime = 0
@@ -443,18 +454,6 @@ class Engine:
         heapq.heappush(self._heap, (t, self._seq, handler, arg))
         self._seq += 1
 
-    def compromise_mode_at(self, node_id: int, t: SimTime) -> CompromiseMode | None:
-        for start, end, cmode in self.compromise.get(node_id, ()):
-            if start <= t < end:
-                return cmode
-        return None
-
-    def route_override_at(self, victim: int, t: SimTime) -> int | None:
-        for start, end, relay in self.route_overrides.get(victim, ()):
-            if start <= t < end:
-                return relay
-        return None
-
     def interference_dbm_at(self, x: float, y: float, t0: SimTime, t1: SimTime | None = None) -> float:
         """Noise floor plus all jammers active anywhere in [t0, t1)."""
         t1 = t0 + 1 if t1 is None else t1
@@ -544,7 +543,7 @@ class Engine:
         if packet.phantom_pos is None:
             transmitter: int | None = packet.src
             src_node = self.topology.node(packet.src)
-            if self.compromise_mode_at(packet.src, self.now) is CompromiseMode.SILENT:
+            if active_at(self.compromise, packet.src, self.now) is CompromiseMode.SILENT:
                 return False
             if src_node.role is NodeRole.SENSOR and not packet.mac_exempt:
                 # compliant sensors only transmit inside their wake window
@@ -771,7 +770,7 @@ class Engine:
 
     def _plan_sensor_send(self, sensor: int, cell: HexCoord, t: SimTime) -> None:
         cluster = self.topology.cluster_of(cell)
-        relay = self.route_override_at(sensor, t)
+        relay = active_at(self.route_overrides, sensor, t)
         dst = relay if relay is not None else cluster
         packet = self.new_packet(PacketKind.SENSOR_DATA, sensor, dst)
         if relay is not None:

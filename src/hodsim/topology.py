@@ -166,11 +166,6 @@ class Topology:
     def regional_of_cell(self, cell: HexCoord) -> int:
         return self.regional_by_region[self.region_of_cell[cell]]
 
-    def bounding_radius_m(self) -> float:
-        return max(
-            math.hypot(*axial_to_xy(c, self.cell_radius_m)) for c in self.cells
-        ) + self.cell_radius_m
-
     def monitor_ids(self) -> list[int]:
         return [
             n.node_id
@@ -193,6 +188,21 @@ def _sample_point_in_hex(
         y = cy + rng.uniform(-h, h)
         if point_in_hex(x, y, c, cell_radius_m):
             return (x, y)
+
+
+def uplink_ends(rings: int, cell_radius_m: float) -> tuple[list[tuple[float, float]], tuple[float, float]]:
+    """The regional positions, in region order, and the base's: fixed by the grid, not the seed.
+
+    A regional sits at the centroid of its region's cells, the base on the +x
+    axis at three times the grid's bounding radius.
+    """
+    cells = build_hex_grid(rings)
+    regionals = []
+    for members in group_regions(cells):
+        xs, ys = zip(*(axial_to_xy(c, cell_radius_m) for c in members))
+        regionals.append((sum(xs) / len(xs), sum(ys) / len(ys)))
+    bounding_radius = max(math.hypot(*axial_to_xy(c, cell_radius_m)) for c in cells) + cell_radius_m
+    return regionals, (3.0 * bounding_radius, 0.0)
 
 
 def build_topology(
@@ -232,17 +242,16 @@ def build_topology(
             ids.append(nid)
         topo.sensors_by_cell[c] = ids
 
-    for rid, members in enumerate(regions):
+    regionals, (base_x, base_y) = uplink_ends(rings, cell_radius_m)
+    for rid, (members, (x, y)) in enumerate(zip(regions, regionals)):
         for c in members:
             topo.region_of_cell[c] = rid
-        xs, ys = zip(*(axial_to_xy(c, cell_radius_m) for c in members))
         nid = len(nodes)
-        nodes.append(Node(nid, NodeRole.REGIONAL, None, sum(xs) / len(xs), sum(ys) / len(ys)))
+        nodes.append(Node(nid, NodeRole.REGIONAL, None, x, y))
         topo.regional_by_region[rid] = nid
 
     topo.nodes = nodes
-    base_x = 3.0 * topo.bounding_radius_m()
     topo.base_id = len(nodes)
-    nodes.append(Node(topo.base_id, NodeRole.BASE, None, base_x, 0.0))
+    nodes.append(Node(topo.base_id, NodeRole.BASE, None, base_x, base_y))
     return topo
 

@@ -1,10 +1,11 @@
 """Shared helpers: engine factories, ledger audits, and log serialization."""
 
 import math
+from collections import Counter
 
+from hodsim.cli import _trace_rows
 from hodsim.config import ScenarioConfig, SimSection, TopologyConfig
 from hodsim.simcore import Engine, EnergyModel, MacConfig, RadioModel, WorkloadConfig
-from hodsim.topology import build_topology
 
 
 def make_engine(
@@ -17,12 +18,14 @@ def make_engine(
     mac=None,
     workload=None,
     horizon_windows=3,
+    attacks=(),
     **sim_kwargs,
 ):
     """A small engine with workload off by default, for hand-driven tests.
 
     Timing keywords (aggregation_window_us, sensing_tick_us, drain_us) go to
-    the scenario's sim section, so its range checks apply.
+    the scenario's sim section, so its range checks apply.  The attacks are
+    the scenario's; apply_attacks(engine) injects them.
     """
     scenario = ScenarioConfig(
         topology=TopologyConfig(rings=rings, sensors_per_cell=sensors_per_cell),
@@ -31,15 +34,10 @@ def make_engine(
         mac=mac or MacConfig(),
         workload=workload or WorkloadConfig(sensors_enabled=False),
         sim=SimSection(horizon_windows=horizon_windows, **sim_kwargs),
+        attacks=list(attacks),
         seed=seed,
     )
-    topo = build_topology(
-        rings=rings,
-        sensors_per_cell=sensors_per_cell,
-        cell_radius_m=scenario.topology.cell_radius_m,
-        seed=seed,
-    )
-    return Engine(topo, scenario, seed=seed, mode=mode)
+    return Engine(scenario, seed=seed, mode=mode)
 
 
 def energy_from_events(log):
@@ -83,3 +81,43 @@ def serialize_log(log):
     parts.extend(f"{nid}:{log.meters[nid]!r}" for nid in sorted(log.meters))
     parts.extend(f"{nid}:{log.counters[nid]!r}" for nid in sorted(log.counters))
     return "\n".join(parts)
+
+
+def assert_trace_replays(log):
+    """The trace rows alone recompute each node's messages sent by kind
+    (RunLog.counters) and each cell's sends and deliveries per window
+    (RunLog.window_stats).
+
+    A message is a tx row with energy > 0: a forged send's tx row has none, so
+    this holds while the tx energy coefficients are > 0.  A send is a message
+    with a cell (a long-range hop has none); a delivery is a Delivered rx row
+    of a hop, (packet_id, src), that is a send.  A row's window is
+    time_us // window_us, and rows in the drain after the last window are
+    skipped.
+    """
+    rows = _trace_rows(log)
+    messages = [r for r in rows if r["event"] == "tx" and float(r["energy_uj"]) > 0]
+    by_node = {}
+    for r in messages:
+        by_node.setdefault(r["src"], Counter())[r["kind"]] += 1
+    assert by_node == {n: c.sent for n, c in log.counters.items() if c.sent}
+
+    sends = [r for r in messages if r["cell"]]
+    hops = {(r["packet_id"], r["src"]) for r in sends}
+    deliveries = [
+        r for r in rows
+        if r["event"] == "rx" and r["outcome"] == "Delivered" and (r["packet_id"], r["src"]) in hops
+    ]
+    replayed = {}
+    for column, kept in ((0, sends), (1, deliveries)):
+        for r in kept:
+            window = r["time_us"] // log.window_us
+            if window < log.n_windows:
+                replayed.setdefault((window, r["cell"]), [0, 0])[column] += 1
+    recorded = {
+        (w, f"{cell.q},{cell.r}"): [s.sent, s.delivered]
+        for w, by_cell in enumerate(log.window_stats)
+        for cell, s in by_cell.items()
+        if s.sent or s.delivered
+    }
+    assert replayed == recorded

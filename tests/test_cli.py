@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import assert_trace_replays
 from hodsim.cli import main
 from hodsim.config import ScenarioConfig
+from hodsim.metrics import run_scenario
 
 SCENARIO = """\
 topology:
@@ -148,6 +150,11 @@ class TestExitCodes:
             ('sensors_enabled: "no"', "'workload.sensors_enabled' must be true or false"),
             # used to fail inside the run with "cannot schedule event at -5" (exit 3)
             ("sensors_enabled: false\nradio:\n  per_hop_latency_us: -5", "per_hop_latency_us must be > 0"),
+            # a regional -> base uplink on the short-range budget at 0 dBm never delivers
+            (
+                "sensors_enabled: false\nradio:\n  long_range_reliable: false",
+                "487 m from the base, reaches it at -104.5 dBm",
+            ),
         ],
     )
     def test_bad_scalar_value_is_usage_error(self, tmp_path, capsys, line, message):
@@ -177,16 +184,32 @@ class TestExitCodes:
         assert main(["--config", cfg, "--mode", "bogus"]) == 2
         capsys.readouterr()
 
-    # each is found only when the run places the attack, but is still a bad scenario
+    # each is refused when the file is parsed, but for no-time: only the run's
+    # emission-time search finds that, and it still exits 2 before any output
     @pytest.mark.parametrize(
         "attack, message",
         [
-            pytest.param({"cell": [5, 5]}, "cell (5,5) is not in the grid", id="cell-outside-grid"),
-            pytest.param({"cell": None}, "target cell is required", id="no-cell"),
-            pytest.param({"packet_count": 0}, "packet_count must be >= 1", id="no-packets"),
-            pytest.param({"sensor_index": 7}, "sensor_index 7 out of range", id="no-such-sensor"),
             pytest.param(
-                {"end_us": 99000000}, "interval [0, 99000000) must lie within", id="past-horizon"
+                {"cell": [7, 0]}, "'attacks[0].cell' (7,0) is not in the grid of 1 rings", id="cell-outside-grid"
+            ),
+            pytest.param({"cell": None}, "a SlotSpoof attack needs 'cell'", id="no-cell"),
+            pytest.param({"kind": "Jamming", "cell": None}, "a Jamming attack needs 'cell'", id="jamming-no-cell"),
+            pytest.param(
+                {"kind": "NodeCompromise", "target_role": "regional", "cell": None},
+                "a NodeCompromise attack needs 'region'",
+                id="regional-no-region",
+            ),
+            pytest.param({"packet_count": 0}, "packet_count must be >= 1, got 0", id="no-packets"),
+            pytest.param(
+                {"sensor_index": 7}, "'attacks[0].sensor_index' (7) is past the 2 sensors", id="no-such-sensor"
+            ),
+            pytest.param({"sensor_index": -1}, "sensor_index must be >= 0, got -1", id="negative-sensor"),
+            pytest.param(
+                {"start_us": 5, "end_us": 1}, "need 0 <= start_us < end_us, got 5 and 1", id="reversed-interval"
+            ),
+            pytest.param(
+                {"end_us": 99000000}, "'attacks[0].end_us' (99000000) is past the horizon (3000000 us",
+                id="past-horizon",
             ),
             # [0, 1) holds only the spoofed sensor's own slot
             pytest.param(
@@ -212,7 +235,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run_cli(str(bad), out, "--mode", "compare", "--seed", "1") == 2
         assert message in capsys.readouterr().err
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     # found only when the run plans the workload, but still a bad scenario
     @pytest.mark.parametrize(
@@ -388,7 +411,7 @@ class TestBundledExamples:
 
 
 class TestTraceLedger:
-    """The trace of each bundled example recomputes the message and energy totals in its metrics.
+    """The trace of each bundled example recomputes the totals in its metrics and its run log.
 
     A forged (phantom) send writes a tx row too, and only its zero energy tells
     it from a metered send: an attacker's radio spends no metered energy.  So
@@ -414,3 +437,10 @@ class TestTraceLedger:
             assert int(metrics["total_messages"]) == sum(Decimal(r["energy_uj"]) > 0 for r in tx)
             assert int(metrics["ids_control_messages"]) == sum(r["control"] == "1" for r in tx)
             assert metrics["energy_total_j"] == f"{energy_uj / 1_000_000:.9f}"
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_DIGESTS))
+    def test_trace_replays_the_run_log(self, name):
+        scenario = ScenarioConfig.from_file(str(EXAMPLES / f"{name}.yaml"))
+        for mode in ("hod", "flat"):
+            log, _ = run_scenario(scenario, mode, 1)
+            assert_trace_replays(log)

@@ -324,11 +324,40 @@ class TestBuiltInCode:
                 "'compare_tolerance' must be a finite number >= 0",
                 id="tolerance-nan",
             ),
+            pytest.param(
+                {"radio": RadioModel(long_range_reliable=False)},
+                "the farthest regional, 824 m from the base, reaches it at -110.0 dBm, "
+                "below 'radio.rx_sensitivity_dbm' (-85.0)",
+                id="dead-uplink",
+            ),
+            pytest.param(
+                {"topology": TopologyConfig(rings=0), "radio": RadioModel(long_range_reliable=False)},
+                "150 m from the base, reaches it at -92.2 dBm",
+                id="dead-uplink-rings-0",
+            ),
+            pytest.param(
+                {
+                    "topology": TopologyConfig(rings=1),
+                    "attacks": [AttackSpec(kind="Jamming", start_us=0, end_us=1, cell=HexCoord(7, 0))],
+                },
+                "'attacks[0].cell' (7,0) is not in the grid of 1 rings",
+                id="attack-cell",
+            ),
+            pytest.param(
+                {"attacks": [AttackSpec(kind="Jamming", start_us=0, end_us=30_000_001, cell=HexCoord(0, 0))]},
+                "'attacks[0].end_us' (30000001) is past the horizon (30000000 us",
+                id="attack-past-horizon",
+            ),
         ],
     )
     def test_scenario_checks_run_at_construction(self, kwargs, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             ScenarioConfig(**kwargs)
+
+    def test_unreliable_uplink_that_reaches_the_base(self):
+        # 30 dBm closes the 824 m worst case of rings 2 at -80.0 dBm
+        radio = RadioModel(long_range_reliable=False, tx_power_dbm=30.0)
+        assert ScenarioConfig(radio=radio).radio.long_range_reliable is False
 
     def test_attack_field_its_kind_never_reads(self):
         message = "'power_dbm' is not used by a SlotSpoof attack (it takes kind, start_us, end_us, cell"
@@ -371,10 +400,12 @@ class TestBuiltInCode:
         )
         assert strings.kind is AttackKind.NODE_COMPROMISE
         assert strings == enums
-        jam = AttackSpec(kind="Jamming", start_us=0, end_us=1)
+        jam = AttackSpec(kind="Jamming", start_us=0, end_us=1, cell=HexCoord(0, 0))
         assert jam.kind is AttackKind.JAMMING
         a = ScenarioConfig(attacks=[strings, jam])
-        b = ScenarioConfig(attacks=[enums, AttackSpec(kind=AttackKind.JAMMING, start_us=0, end_us=1)])
+        b = ScenarioConfig(
+            attacks=[enums, AttackSpec(kind=AttackKind.JAMMING, start_us=0, end_us=1, cell=HexCoord(0, 0))]
+        )
         assert a.echo() == b.echo()
         assert a.scenario_hash() == b.scenario_hash()
 

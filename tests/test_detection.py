@@ -380,8 +380,6 @@ class TestWatchdog:
 
 class TestRippling:
     def spoofed_run(self, horizon=6, **spec_kw):
-        eng = make_engine(sensors_per_cell=3, horizon_windows=horizon)
-        HodMonitors(eng)
         spec = dict(
             kind=AttackKind.SLOT_SPOOF,
             start_us=0,
@@ -390,7 +388,9 @@ class TestRippling:
             packet_count=2,
         )
         spec.update(spec_kw)
-        apply_attacks(eng, [AttackSpec(**spec)])
+        eng = make_engine(sensors_per_cell=3, horizon_windows=horizon, attacks=[AttackSpec(**spec)])
+        HodMonitors(eng)
+        apply_attacks(eng)
         eng.run()
         return eng
 
@@ -415,18 +415,17 @@ class TestRippling:
             assert r.base_arrival_us == r.alert.detected_at + W + 2000
 
     def test_base_detected_alert_trail_is_the_base_alone(self):
-        eng = make_engine(horizon_windows=6)
-        HodMonitors(eng)
-        rid = sorted(eng.topology.regional_by_region)[0]
         spec = AttackSpec(
             kind=AttackKind.NODE_COMPROMISE,
             start_us=W,
             end_us=6 * W,
             target_role="regional",
-            region=rid,
+            region=0,
             compromise_mode="Silent",
         )
-        apply_attacks(eng, [spec])
+        eng = make_engine(horizon_windows=6, attacks=[spec])
+        HodMonitors(eng)
+        apply_attacks(eng)
         eng.run()
         base = eng.topology.base_id
         records = [r for r in eng.log.base_received if r.alert.detected_by == base]
@@ -439,14 +438,13 @@ class TestRippling:
     def test_retries_deliver_exactly_once(self):
         # jam the victim's uplink for two boundaries; the outbox must retry
         # and the base must still record each alert exactly once
-        eng = make_engine(sensors_per_cell=3, horizon_windows=8)
-        HodMonitors(eng)
-        topo = eng.topology
+        topo = make_engine(sensors_per_cell=3).topology
         regional = topo.regional_of_cell(CELL)
         rx_, ry_ = topo.position(regional)
-        apply_attacks(
-            eng,
-            [
+        eng = make_engine(
+            sensors_per_cell=3,
+            horizon_windows=8,
+            attacks=[
                 AttackSpec(
                     kind=AttackKind.SLOT_SPOOF,
                     start_us=0,
@@ -464,6 +462,8 @@ class TestRippling:
                 ),
             ],
         )
+        HodMonitors(eng)
+        apply_attacks(eng)
         eng.run()
         gt = [g for g in eng.log.ground_truth if g.kind == "SlotSpoof"]
         records = [
@@ -481,11 +481,10 @@ class TestRippling:
     def test_false_data_cluster_detects_but_never_forwards(self):
         eng = self.spoofed_run(horizon=6)
         # fresh engine with the same spoof plus a FalseData compromise
-        eng2 = make_engine(sensors_per_cell=3, horizon_windows=6)
-        HodMonitors(eng2)
-        apply_attacks(
-            eng2,
-            [
+        eng2 = make_engine(
+            sensors_per_cell=3,
+            horizon_windows=6,
+            attacks=[
                 AttackSpec(
                     kind=AttackKind.SLOT_SPOOF,
                     start_us=0,
@@ -502,6 +501,8 @@ class TestRippling:
                 ),
             ],
         )
+        HodMonitors(eng2)
+        apply_attacks(eng2)
         eng2.run()
         local = [a for a in eng2.log.alerts if a.rule is AlertRule.SLOT_VIOLATION]
         assert local  # detection still happens at the cluster

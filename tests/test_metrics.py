@@ -211,22 +211,12 @@ class TestFlatMonitors:
             assert len(mon.neighbors[s]) > 0
 
     def test_flat_detects_slot_spoof(self):
+        spoof = AttackSpec(kind=AttackKind.SLOT_SPOOF, start_us=0, end_us=2 * W, cell=CELL, packet_count=3)
         eng = make_engine(
-            sensors_per_cell=3, horizon_windows=4, workload=WorkloadConfig(), mode="flat"
+            sensors_per_cell=3, horizon_windows=4, workload=WorkloadConfig(), mode="flat", attacks=[spoof]
         )
         FlatMonitors(eng)
-        apply_attacks(
-            eng,
-            [
-                AttackSpec(
-                    kind=AttackKind.SLOT_SPOOF,
-                    start_us=0,
-                    end_us=2 * W,
-                    cell=CELL,
-                    packet_count=3,
-                )
-            ],
-        )
+        apply_attacks(eng)
         eng.run()
         m = score(eng.log, eng.topology, DetectorThresholds())
         assert m.mode == "flat"

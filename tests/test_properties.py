@@ -1,15 +1,18 @@
 """Property test: random small scenarios against the determinism and ledger invariants.
 
 Scenarios span rings 0-2, 1-4 sensors per cell, 2-4 windows, shadowing off or
-at 4 dB, and up to three attacks of any kind with target cells drawn from the
-grid and intervals inside the horizon.  Specs the injector rejects (no
-foreign slot, no detour relay, a region that does not exist) are discarded.
+at 4 dB, and up to three attacks of any kind that fit the grid: target cells
+and regions drawn from it, intervals inside the horizon, and a forgery or
+detour only with a second sensor in the cell.  Either the regional -> base
+uplink is reliable, or it takes the short-range link budget at 30 dBm, which
+reaches the base from every regional at rings <= 2.  Runs whose forgery
+interval holds no admissible emission time (AttackSpecError) are discarded.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_energy_ledger_consistent, serialize_log
+from conftest import assert_energy_ledger_consistent, assert_trace_replays, serialize_log
 from hodsim.attacks import AttackKind, AttackSpec, AttackSpecError
 from hodsim.config import ScenarioConfig, SimSection, TopologyConfig
 from hodsim.metrics import run_scenario, score
@@ -21,7 +24,9 @@ W = 1_000_000
 
 @st.composite
 def attack_specs(draw, rings, sensors_per_cell, horizon_us):
-    kind = draw(st.sampled_from(list(AttackKind)))
+    # a forged slot or a detour relay needs a second sensor in the cell
+    needs_two = (AttackKind.SLOT_SPOOF, AttackKind.ROUTE_DEVIATION)
+    kind = draw(st.sampled_from([k for k in AttackKind if sensors_per_cell > 1 or k not in needs_two]))
     start = draw(st.integers(0, horizon_us - 1))
     spec = dict(
         kind=kind,
@@ -36,8 +41,9 @@ def attack_specs(draw, rings, sensors_per_cell, horizon_us):
         spec["packet_count"] = draw(st.integers(1, 3))
         spec["sensor_index"] = draw(sensor_index)
     elif kind is AttackKind.ROUTE_DEVIATION:
-        spec["sensor_index"] = draw(sensor_index)
-        spec["relay_index"] = draw(st.none() | sensor_index)
+        victim = draw(sensor_index)
+        spec["sensor_index"] = victim
+        spec["relay_index"] = draw(st.none() | sensor_index.filter(lambda i: i != victim))
     else:
         spec["compromise_mode"] = draw(st.sampled_from(["Silent", "FalseData"]))
         if draw(st.booleans()):
@@ -50,11 +56,14 @@ def scenarios(draw):
     rings = draw(st.integers(0, 2))
     sensors_per_cell = draw(st.integers(1, 4))
     windows = draw(st.integers(2, 4))
+    reliable = draw(st.booleans())
     return ScenarioConfig(
         topology=TopologyConfig(rings=rings, sensors_per_cell=sensors_per_cell),
         radio=RadioModel(
             shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])),
-            long_range_reliable=draw(st.booleans()),
+            long_range_reliable=reliable,
+            # at the default 0 dBm an unreliable uplink is refused: it cannot reach the base
+            tx_power_dbm=0.0 if reliable else 30.0,
             per_hop_latency_us=draw(st.sampled_from([2_000, 20_000])),
         ),
         sim=SimSection(horizon_windows=windows),
@@ -78,6 +87,7 @@ def test_random_scenarios_keep_the_invariants(scenario):
         rerun, _ = _run(scenario, mode)
         assert serialize_log(rerun) == serialize_log(log)
         assert_energy_ledger_consistent(log)
+        assert_trace_replays(log)
         score(log, topo, scenario.thresholds)  # raises if the control ledgers disagree
         if mode != "hod":
             continue

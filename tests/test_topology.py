@@ -17,6 +17,7 @@ from hodsim.topology import (
     hex_distance,
     point_in_hex,
     region_anchor,
+    uplink_ends,
 )
 
 # axial offsets of the six adjacent cells (E, NE, N, W, SW, S for flat-top)
@@ -232,8 +233,17 @@ class TestBuildTopology:
     def test_base_position(self):
         topo = build_topology(rings=2, sensors_per_cell=4, cell_radius_m=50.0, seed=3)
         base = topo.node(topo.base_id)
-        assert base.x == pytest.approx(3.0 * topo.bounding_radius_m())
+        # three times the bounding radius: the six corner cells of ring 2, such
+        # as (2, 0) at (150, 50*sqrt(3)), lie 2*sqrt(3)*50 out, plus one cell radius
+        assert base.x == pytest.approx(3.0 * (100.0 * math.sqrt(3.0) + 50.0))
         assert base.y == 0.0
+
+    def test_uplink_ends_are_the_placed_regionals_and_base(self):
+        regionals, base = uplink_ends(2, 50.0)
+        for seed in (3, 4):
+            topo = build_topology(rings=2, sensors_per_cell=4, cell_radius_m=50.0, seed=seed)
+            assert [topo.position(topo.regional_by_region[rid]) for rid in range(9)] == regionals
+            assert topo.position(topo.base_id) == base
 
     def test_parent_chain(self):
         # sensor -> cluster -> regional -> base, as the monitors read the hierarchy
