@@ -146,13 +146,13 @@ def _convert(hint: Any, value: Any, path: str) -> Any:
         return _parse_cell(value, path)
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, path)
-    if typing.get_origin(hint) is list:
+    if typing.get_origin(hint) is tuple and typing.get_args(hint)[1:] == (Ellipsis,):
         if value is None:
-            return []
+            return ()
         if not isinstance(value, list):
             raise ConfigError(f"section '{path}' must be a list")
-        (item,) = typing.get_args(hint)
-        return [_build(item, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        item = typing.get_args(hint)[0]
+        return tuple(_build(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if typing.get_origin(hint) is tuple:
         return _parse_position(value, path)
     _check_type(hint, value, path)
@@ -192,7 +192,7 @@ class ScenarioConfig:
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     detect: DetectorThresholds = field(default_factory=DetectorThresholds)
     sim: SimSection = field(default_factory=SimSection)
-    attacks: list[AttackSpec] = field(default_factory=list)
+    attacks: tuple[AttackSpec, ...] = ()
     seed: int = 42
     compare_tolerance: float = 0.1
 
@@ -211,6 +211,8 @@ class ScenarioConfig:
                 f"'mac.frame_length' ({frame_length}) must be >= 'topology.sensors_per_cell' "
                 f"({self.topology.sensors_per_cell}): every sensor needs a slot"
             )
+        # a tuple, so that no attack joins after check_attacks_fit has run
+        object.__setattr__(self, "attacks", tuple(self.attacks))
         radio = self.radio
         if not radio.long_range_reliable:
             regionals, (base_x, base_y) = uplink_ends(self.topology.rings, self.topology.cell_radius_m)

@@ -169,20 +169,17 @@ class BaseAlertRecord:
 class ConnectivityGraph:
     """Static connectivity at zero shadowing: edges join nodes within short range.
 
-    expected_route returns the minimum-hop path, tie-broken to the
-    lexicographically smallest node-id sequence; None when disconnected.
+    adj[n] lists, ascending, the other nodes Topology.within finds at most
+    short_range_m from n.  expected_route returns the minimum-hop path,
+    tie-broken to the lexicographically smallest node-id sequence; None when
+    disconnected.
     """
 
     def __init__(self, topology: Topology, short_range_m: float) -> None:
-        n = len(topology.nodes)
-        self.adj: list[list[int]] = [[] for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                if topology.distance(a, b) <= short_range_m:
-                    self.adj[a].append(b)
-                    self.adj[b].append(a)
-        for lst in self.adj:
-            lst.sort()
+        self.adj: list[list[int]] = [
+            [m for m in topology.within(n.x, n.y, short_range_m) if m != n.node_id]
+            for n in topology.nodes
+        ]
         self._dist_cache: dict[int, list[int]] = {}
 
     def _dist_to(self, dst: int) -> list[int]:

@@ -33,6 +33,12 @@ overhearing read the record and decide nothing again.  One writer traces every
 hop row (tx, drop, rx, overheard rx) and one every node row (idle and rule_eval
 charges, findings).
 
+Overhearing: the registered overhearing sensors that hear a transmitter at
+zero shadowing are found once, on its first data send, from Topology.within at
+the radio's reach, and kept with their RSSI in ascending id order; a phantom
+transmission finds its listeners on every send.  Each send then skips its
+destination and applies the jammer SINR test per listener.
+
 Radio: log-distance path loss with optional gaussian shadowing per
 transmission.  A packet is delivered iff its sampled RSSI clears the receiver
 sensitivity and the signal-to-interference ratio clears the SINR threshold
@@ -64,7 +70,7 @@ from .mac import (
     is_awake,
     next_compliant_slot,
 )
-from .topology import HexCoord, NodeRole, build_topology, suspect_node
+from .topology import HexCoord, Node, NodeRole, build_topology, suspect_node
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -427,6 +433,8 @@ class Engine:
         # receive buffers, registered by the attached monitor
         self.inboxes: dict[int, list[tuple[SimTime, Packet]]] = {}
         self.overheard: dict[int, list[tuple[SimTime, Packet]]] = {}
+        # transmitter -> its overhearing sensors, filled on its first data send
+        self._listeners: dict[int, list[tuple[int, Node, float]]] = {}
 
     # ------------------------------------------------------------------ utils
 
@@ -672,24 +680,53 @@ class Engine:
         t = next_compliant_slot(self.tdma[cell], self.smac[cell], packet.origin, self.now)
         self.schedule(t, self.send, replace(packet, src=relay, dst=cluster, mac_exempt=True))
 
+    def _listeners_at(self, pos: tuple[float, float], transmitter: int | None) -> list[tuple[int, Node, float]]:
+        """The registered overhearing sensors but transmitter that hear pos at zero shadowing.
+
+        Each is (sensor, node, deterministic RSSI), ascending by id.
+        """
+        radio = self.config.radio
+        x, y = pos
+        # deterministic_rssi(d) clears the sensitivity iff max(d, 1) <= 10**exponent;
+        # within() is asked for that reach (kept in [1, 1e300] m) widened by a
+        # relative 1e-9, and the exact test below decides, as a full scan would
+        exponent = (radio.tx_power_dbm - radio.reference_loss_db - radio.rx_sensitivity_dbm) / (
+            10.0 * radio.path_loss_exponent
+        )
+        reach = max(10.0 ** min(exponent, 300.0), 1.0)
+        listeners = []
+        for sensor_id in self.topology.within(x, y, reach * (1.0 + 1e-9)):
+            if sensor_id == transmitter or sensor_id not in self.overheard:
+                continue
+            node = self.topology.node(sensor_id)
+            det = radio.deterministic_rssi(math.hypot(x - node.x, y - node.y))
+            if det >= radio.rx_sensitivity_dbm:
+                listeners.append((sensor_id, node, det))
+        return listeners
+
     def _overhear(self, hop: _PendingTx) -> None:
-        """Flat-baseline promiscuous listening on data-plane transmissions."""
+        """Flat-baseline promiscuous listening on data-plane transmissions.
+
+        A transmitter's listeners (_listeners_at, candidates from
+        Topology.within) are found on its first data send and kept; a
+        phantom's are found on every send.  Each send skips its destination
+        and runs the jammer SINR test per listener.
+        """
         if not self.overheard:
             return
         packet = hop.packet
         if packet.kind not in DATA_KINDS:
             return
+        if hop.transmitter is None:
+            listeners = self._listeners_at(hop.tx_pos, None)
+        else:
+            listeners = self._listeners.get(hop.transmitter)
+            if listeners is None:
+                listeners = self._listeners[hop.transmitter] = self._listeners_at(hop.tx_pos, hop.transmitter)
         radio = self.config.radio
         rx_j = self.config.energy.rx_energy_j(packet.size_bits)
-        x, y = hop.tx_pos
-        not_listening = (hop.transmitter, packet.dst)
-        for sensor_id in self.overheard:
-            if sensor_id in not_listening:
-                continue
-            node = self.topology.node(sensor_id)
-            d = math.hypot(x - node.x, y - node.y)
-            det = radio.deterministic_rssi(d)
-            if det < radio.rx_sensitivity_dbm:
+        for sensor_id, node, det in listeners:
+            if sensor_id == packet.dst:
                 continue
             interference = self.interference_dbm_at(node.x, node.y, hop.start_us, hop.end_us)
             if det - interference < radio.sinr_threshold_db:

@@ -141,6 +141,10 @@ class Topology:
     regional_by_region: dict[int, int] = field(default_factory=dict)
     region_of_cell: dict[HexCoord, int] = field(default_factory=dict)
     base_id: int = -1
+    # radius -> grid cell -> (id, x, y) of its nodes, ascending: within()'s buckets
+    _grids: dict[float, dict[tuple[int, int], list[tuple[int, float, float]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
@@ -156,6 +160,34 @@ class Topology:
         ax, ay = self.position(a)
         bx, by = self.position(b)
         return math.hypot(ax - bx, ay - by)
+
+    def within(self, x: float, y: float, radius: float) -> list[int]:
+        """Ids of the nodes at math.hypot(x - n.x, y - n.y) <= radius, ascending.
+
+        The nodes are bucketed once per radius, on first use, in square cells
+        of side radius, so a query scans only the 3 x 3 cells around (x, y).
+        The cells are widened by a relative 1e-9 so that rounding in a cell
+        index cannot put a node within radius two cells away (exact while the
+        coordinates stay below a million radii).  The nodes must not change
+        after the first query.
+        """
+        side = radius * (1.0 + 1e-9)
+        grid = self._grids.get(radius)
+        if grid is None:
+            grid = self._grids[radius] = {}
+            for n in self.nodes:
+                grid.setdefault((math.floor(n.x / side), math.floor(n.y / side)), []).append((n.node_id, n.x, n.y))
+        i = math.floor(x / side)
+        j = math.floor(y / side)
+        found = [
+            nid
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            for nid, nx, ny in grid.get((i + di, j + dj), ())
+            if math.hypot(x - nx, y - ny) <= radius
+        ]
+        found.sort()
+        return found
 
     def cluster_of(self, cell: HexCoord) -> int:
         return self.cluster_by_cell[cell]

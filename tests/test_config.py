@@ -47,7 +47,7 @@ class TestDefaults:
         assert sc.topology.cell_radius_m == 50.0
         assert sc.sim.horizon_windows == 30
         assert sc.sim.aggregation_window_us == 1_000_000
-        assert sc.attacks == []
+        assert sc.attacks == ()
 
     def test_empty_yaml_is_defaults(self):
         assert ScenarioConfig.from_yaml("").echo() == ScenarioConfig().echo()
@@ -413,6 +413,19 @@ class TestBuiltInCode:
         sc = ScenarioConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             sc.seed = 5
+
+    def test_attacks_cannot_grow_after_the_checks(self):
+        jam = AttackSpec(kind="Jamming", start_us=0, end_us=1000, cell=HexCoord(0, 0))
+        sc = ScenarioConfig(topology=TopologyConfig(rings=1, sensors_per_cell=2), attacks=[jam])
+        assert sc.attacks == (jam,)
+        # a spec that could never pass check_attacks_fit: cell off the grid, end past the horizon
+        unfit = AttackSpec(kind="Jamming", start_us=0, end_us=99_000_000, cell=HexCoord(9, 9))
+        with pytest.raises(AttributeError):
+            sc.attacks.append(unfit)
+        assert sc.attacks == (jam,)
+        # the echo still writes the attacks as a list, so the hash is the list form's
+        assert type(sc.echo()["attacks"]) is list
+        assert sc.echo()["attacks"][0]["kind"] == "Jamming"
 
 
 class TestParseContent:

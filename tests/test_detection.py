@@ -30,7 +30,7 @@ from hodsim.simcore import (
     PacketKind,
     RadioModel,
 )
-from hodsim.topology import HexCoord, NodeRole
+from hodsim.topology import HexCoord, NodeRole, build_topology
 
 CELL = HexCoord(0, 0)
 W = 1_000_000
@@ -143,6 +143,20 @@ class TestConnectivityGraph:
                     assert dist[v] == dist[u] - 1
                     # lexicographic minimality: no smaller-id closer neighbor
                     assert v == min(w for w in adj[u] if dist.get(w, -2) == dist[u] - 1)
+
+    @pytest.mark.parametrize("rings", [0, 1, 2, 3])
+    @pytest.mark.parametrize("sensors_per_cell", [1, 6, 10])
+    @pytest.mark.parametrize("seed", [1, 7, 23])
+    def test_adjacency_is_every_pair_in_range(self, rings, sensors_per_cell, seed):
+        topo = build_topology(rings, sensors_per_cell, seed=seed)
+        n = len(topo.nodes)
+        dist = [[topo.distance(a, b) for b in range(n)] for a in range(n)]
+        # the distance of one sensor-cluster pair, so the inclusive boundary is pinned
+        a, b = topo.sensors_of(topo.cells[0])[0], topo.cluster_of(topo.cells[-1])
+        for radius in (10.0, 49.9, 75.0, 120.0, dist[a][b]):
+            brute = [[m for m in range(n) if m != k and dist[k][m] <= radius] for k in range(n)]
+            assert ConnectivityGraph(topo, radius).adj == brute
+        assert b in ConnectivityGraph(topo, dist[a][b]).adj[a]
 
     def test_trivial_and_disconnected(self):
         topo = make_engine(sensors_per_cell=2).topology

@@ -7,10 +7,12 @@ principles with raw math, not the module under test) or statistical bounds.
 import heapq
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from conftest import assert_energy_ledger_consistent, make_engine, serialize_log
+from hodsim.detection import FlatMonitors, HodMonitors
 from hodsim.simcore import (
     CompromiseMode,
     Engine,
@@ -412,3 +414,89 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         assert self._run(31) != self._run(32)
+
+
+class TestOverhearListeners:
+    """The per-transmitter listener lists are exactly what a scan of every sensor finds."""
+
+    def full_scan(self, eng, pos, transmitter):
+        radio = eng.config.radio
+        found = []
+        for sensor in eng.overheard:
+            if sensor == transmitter:
+                continue
+            node = eng.topology.node(sensor)
+            det = radio.deterministic_rssi(math.hypot(pos[0] - node.x, pos[1] - node.y))
+            if det >= radio.rx_sensitivity_dbm:
+                found.append((sensor, node, det))
+        return found
+
+    def flat_engine(self, tx_power_dbm, mode="flat", horizon_windows=2):
+        eng = make_engine(
+            rings=1,
+            sensors_per_cell=3,
+            mode=mode,
+            radio=RadioModel(tx_power_dbm=tx_power_dbm),
+            workload=WorkloadConfig(),
+            horizon_windows=horizon_windows,
+        )
+        (FlatMonitors if mode == "flat" else HodMonitors)(eng)
+        return eng
+
+    @pytest.mark.parametrize("tx_power_dbm", [0.0, 30.0])
+    def test_cached_lists_are_the_full_scan(self, tx_power_dbm):
+        eng = self.flat_engine(tx_power_dbm)
+        eng.run()
+        sensors = eng.topology.sensor_ids()
+        assert sorted(eng._listeners) == sensors  # every sensor sent data
+        for sensor, listeners in eng._listeners.items():
+            assert listeners == self.full_scan(eng, eng.topology.position(sensor), sensor)
+        if tx_power_dbm == 30.0:
+            # at 30 dBm every sensor hears every other one
+            assert all(len(v) == len(sensors) - 1 for v in eng._listeners.values())
+
+    @pytest.mark.parametrize("tx_power_dbm", [0.0, 30.0])
+    def test_phantom_positions_get_the_full_scan(self, tx_power_dbm):
+        eng = self.flat_engine(tx_power_dbm)
+        rng = random.Random(5)
+        points = [eng.topology.position(n) for n in range(len(eng.topology.nodes))]
+        points += [(rng.uniform(-400, 400), rng.uniform(-400, 400)) for _ in range(50)]
+        for pos in points:
+            assert eng._listeners_at(pos, None) == self.full_scan(eng, pos, None)
+
+    def test_listeners_scanned_once_per_transmitter_and_sensor(self, monkeypatch):
+        eng = self.flat_engine(0.0, horizon_windows=5)
+        in_overhear = [False]
+        scanned = Counter()  # distance -> deterministic_rssi calls made while overhearing
+        rssi = RadioModel.deterministic_rssi
+        overhear = Engine._overhear
+
+        def counting_rssi(self, distance_m, *args, **kwargs):
+            if in_overhear[0]:
+                scanned[distance_m] += 1
+            return rssi(self, distance_m, *args, **kwargs)
+
+        def flagged_overhear(self, hop):
+            in_overhear[0] = True
+            try:
+                overhear(self, hop)
+            finally:
+                in_overhear[0] = False
+
+        monkeypatch.setattr(RadioModel, "deterministic_rssi", counting_rssi)
+        monkeypatch.setattr(Engine, "_overhear", flagged_overhear)
+        log = eng.run()
+        # no jammer, so every call made while overhearing is a listener scan;
+        # a pair's distance is scanned once each way (a -> b and b -> a)
+        assert not eng.interference
+        assert scanned and max(scanned.values()) <= 2
+        assert sum(scanned.values()) <= len(eng._listeners) * len(eng.overheard)
+        # every sensor sent often enough that a scan per send would repeat a distance
+        sends = Counter(e.src for e in log.events if e.event_kind == "tx" and e.pkt_kind == "SensorData")
+        assert min(sends[s] for s in eng.overheard) >= 3
+
+    def test_hod_engine_builds_no_listener_cache(self):
+        eng = self.flat_engine(0.0, mode="hod")
+        eng.run()
+        assert eng.overheard == {}
+        assert eng._listeners == {}

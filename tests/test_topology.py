@@ -264,6 +264,26 @@ class TestBuildTopology:
         assert a.nodes == b.nodes
         assert a.nodes != c.nodes
 
+    def test_within_is_every_node_in_range_ascending(self):
+        topo = build_topology(rings=2, sensors_per_cell=6, cell_radius_m=50.0, seed=4)
+        rng = random.Random(11)
+        points = [topo.position(n.node_id) for n in topo.nodes]
+        points += [(rng.uniform(-300, 900), rng.uniform(-300, 300)) for _ in range(40)]
+        for radius in (5.0, 40.0, 75.0, 500.0):
+            for x, y in points:
+                found = topo.within(x, y, radius)
+                assert found == sorted(found)
+                assert found == [n.node_id for n in topo.nodes if math.hypot(x - n.x, y - n.y) <= radius]
+
+    def test_within_includes_the_boundary_node(self):
+        topo = build_topology(rings=1, sensors_per_cell=4, cell_radius_m=50.0, seed=2)
+        a, b = topo.sensors_of(topo.cells[0])[0], topo.sensors_of(topo.cells[-1])[-1]
+        x, y = topo.position(a)
+        d = topo.distance(a, b)
+        assert b in topo.within(x, y, d)
+        assert b not in topo.within(x, y, math.nextafter(d, 0.0))
+        assert a in topo.within(x, y, 1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             build_topology(rings=-1, sensors_per_cell=4, cell_radius_m=50.0, seed=1)
