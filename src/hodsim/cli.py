@@ -16,17 +16,20 @@ failed invocation are removed.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TextIO
 
 from .attacks import AttackSpecError
 from .config import ConfigError, ScenarioConfig
 from .detection import base_station_report
 from .mac import SchedulingError
 from .metrics import Metrics, compare, rows_to_csv, run_scenario, score
-from .simcore import RunLog
+from .simcore import RunLog, TraceEvent
 from .topology import Topology
 
 _DISCLAIMER = (
@@ -35,29 +38,44 @@ _DISCLAIMER = (
 )
 
 
-def _cell_str(cell) -> str:
-    return "" if cell is None else f"{cell.q},{cell.r}"
+TRACE_FIELDS = (
+    "time_us", "event", "src", "dst", "cell", "outcome",
+    "rssi_dbm", "energy_uj", "packet_id", "kind", "control",
+)
+
+
+def _trace_tuples(events: Iterable[TraceEvent]) -> Iterator[tuple]:
+    """One row per trace event, in TRACE_FIELDS order, formatted as the CSV cells."""
+    for e in events:
+        yield (
+            e.time_us,
+            e.event_kind,
+            "" if e.src is None else e.src,
+            "" if e.dst is None else e.dst,
+            "" if e.cell is None else f"{e.cell.q},{e.cell.r}",
+            e.outcome,
+            "" if e.rssi_dbm is None else f"{e.rssi_dbm:.2f}",
+            f"{e.energy_uj:.6f}",
+            "" if e.packet_id is None else e.packet_id,
+            e.pkt_kind,
+            int(e.control),
+        )
 
 
 def _trace_rows(log: RunLog) -> list[dict]:
-    rows = []
-    for e in log.events:
-        rows.append(
-            {
-                "time_us": e.time_us,
-                "event": e.event_kind,
-                "src": "" if e.src is None else e.src,
-                "dst": "" if e.dst is None else e.dst,
-                "cell": _cell_str(e.cell),
-                "outcome": e.outcome,
-                "rssi_dbm": "" if e.rssi_dbm is None else f"{e.rssi_dbm:.2f}",
-                "energy_uj": f"{e.energy_uj:.6f}",
-                "packet_id": "" if e.packet_id is None else e.packet_id,
-                "kind": e.pkt_kind,
-                "control": int(e.control),
-            }
-        )
-    return rows
+    """The same rows as dicts keyed by TRACE_FIELDS; bench/check.py digests through them."""
+    return [dict(zip(TRACE_FIELDS, r)) for r in _trace_tuples(log.events)]
+
+
+def write_trace(log: RunLog, fh: TextIO) -> None:
+    """Write a run's trace CSV into an open file: the header block, the column
+    row, then one row per event, formatted as it is written, so no copy of the
+    whole trace is held.  A run with no events gets the header block alone."""
+    fh.write(_header(log))
+    if log.events:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_FIELDS)
+        writer.writerows(_trace_tuples(log.events))
 
 
 def _header(log: RunLog) -> str:
@@ -139,18 +157,26 @@ def render_summary(log: RunLog, topology: Topology, metrics: Metrics) -> str:
 
 
 class _OutputSet:
-    """Tracks files written by one invocation so failures clean up after themselves."""
+    """Tracks files written by one invocation so failures clean up after themselves.
+
+    A path is recorded as soon as its file is opened, before anything is
+    written to it, so a write that fails part-way leaves no partial file.
+    """
 
     def __init__(self, directory: Path) -> None:
         self.directory = directory
         self.written: list[Path] = []
 
-    def write(self, name: str, content: str) -> Path:
+    def open(self, name: str) -> TextIO:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / name
-        path.write_text(content, encoding="utf-8")
+        fh = path.open("w", encoding="utf-8")
         self.written.append(path)
-        return path
+        return fh
+
+    def write(self, name: str, content: str) -> None:
+        with self.open(name) as fh:
+            fh.write(content)
 
     def discard_all(self) -> None:
         for path in self.written:
@@ -231,10 +257,8 @@ def main(argv: list[str] | None = None) -> int:
                 by_seed.setdefault(seed, {})[mode] = m
                 metrics_rows[mode].append(m.to_row())
                 if want_csv:
-                    outputs.write(
-                        f"trace_{mode}_{seed}.csv",
-                        _header(log) + rows_to_csv(_trace_rows(log)),
-                    )
+                    with outputs.open(f"trace_{mode}_{seed}.csv") as fh:
+                        write_trace(log, fh)
                 if want_text:
                     outputs.write(
                         f"summary_{mode}_{seed}.txt",
@@ -247,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"{'base alerts' if mode == 'hod' else 'local anomalies'}, "
                     f"{m.total_messages} messages"
                 )
+                # let the log go before the next run, so only one run's log is ever alive
+                del log, topology
         if want_csv:
             for mode in modes:
                 outputs.write(f"metrics_{mode}.csv", rows_to_csv(metrics_rows[mode]))

@@ -217,7 +217,7 @@ class Packet:
     phantom_pos: tuple[float, float] | None = None  # true tx position if forged
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     time_us: SimTime
     event_kind: str  # tx | rx | drop | idle | rule_eval | alert | anomaly

@@ -1,9 +1,11 @@
 """Shared helpers: engine factories, ledger audits, and log serialization."""
 
+import csv
+import io
 import math
 from collections import Counter
 
-from hodsim.cli import _trace_rows
+from hodsim.cli import write_trace
 from hodsim.config import ScenarioConfig, SimSection, TopologyConfig
 from hodsim.simcore import Engine, EnergyModel, MacConfig, RadioModel, WorkloadConfig
 
@@ -84,7 +86,7 @@ def serialize_log(log):
 
 
 def assert_trace_replays(log):
-    """The trace rows alone recompute each node's messages sent by kind
+    """The written trace CSV alone recomputes each node's messages sent by kind
     (RunLog.counters) and each cell's sends and deliveries per window
     (RunLog.window_stats).
 
@@ -95,11 +97,13 @@ def assert_trace_replays(log):
     time_us // window_us, and rows in the drain after the last window are
     skipped.
     """
-    rows = _trace_rows(log)
+    buf = io.StringIO()
+    write_trace(log, buf)
+    rows = list(csv.DictReader(line for line in buf.getvalue().splitlines() if not line.startswith("#")))
     messages = [r for r in rows if r["event"] == "tx" and float(r["energy_uj"]) > 0]
     by_node = {}
     for r in messages:
-        by_node.setdefault(r["src"], Counter())[r["kind"]] += 1
+        by_node.setdefault(int(r["src"]), Counter())[r["kind"]] += 1
     assert by_node == {n: c.sent for n, c in log.counters.items() if c.sent}
 
     sends = [r for r in messages if r["cell"]]
@@ -111,7 +115,7 @@ def assert_trace_replays(log):
     replayed = {}
     for column, kept in ((0, sends), (1, deliveries)):
         for r in kept:
-            window = r["time_us"] // log.window_us
+            window = int(r["time_us"]) // log.window_us
             if window < log.n_windows:
                 replayed.setdefault((window, r["cell"]), [0, 0])[column] += 1
     recorded = {

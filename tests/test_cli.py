@@ -7,15 +7,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import assert_trace_replays
+from hodsim import cli
 from hodsim.cli import main
 from hodsim.config import ScenarioConfig
-from hodsim.metrics import run_scenario
+from hodsim.metrics import rows_to_csv, run_scenario
 
 SCENARIO = """\
 topology:
@@ -308,6 +311,26 @@ class TestExitCodes:
         assert not (out / "trace_hod_3.csv").exists()
         assert not (out / "summary_hod_3.txt").exists()
 
+    def test_trace_write_failing_part_way_leaves_no_partial_file(self, cfg, tmp_path, capsys, monkeypatch):
+        real_tuples = cli._trace_tuples
+        calls = []
+
+        def failing_tuples(events):
+            # the second trace (flat, seed 3) fails at its 20th row, after its first rows are formatted
+            calls.append(None)
+            for i, row in enumerate(real_tuples(events)):
+                if len(calls) == 2 and i == 20:
+                    raise RuntimeError("disk gone")
+                yield row
+
+        monkeypatch.setattr(cli, "_trace_tuples", failing_tuples)
+        out = tmp_path / "out"
+        assert run_cli(cfg, out, "--mode", "compare", "--seed", "3") == 3
+        assert "disk gone" in capsys.readouterr().err
+        assert len(calls) == 2
+        # the first trace and summary, and the flat trace cut off at its 20th row, are all gone
+        assert not list(out.iterdir())
+
 
 COMPROMISE_SCENARIO = """\
 topology:
@@ -358,6 +381,14 @@ class TestDeterminism:
         assert run_cli(cfg, b, "--mode", "compare", "--seed", "5") == 0
         for p in sorted(a.iterdir()):
             assert (b / p.name).read_bytes() == p.read_bytes(), p.name
+
+    def test_a_seed_does_not_depend_on_earlier_runs_in_the_process(self, cfg, tmp_path):
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        assert run_cli(cfg, both, "--mode", "compare", "--seeds", "4..5", "--format", "csv") == 0
+        assert run_cli(cfg, alone, "--mode", "compare", "--seed", "5", "--format", "csv") == 0
+        for mode in ("hod", "flat"):
+            name = f"trace_{mode}_5.csv"
+            assert (both / name).read_bytes() == (alone / name).read_bytes(), name
 
     def test_outputs_match_across_processes_and_hash_seeds(self, tmp_path):
         # string hashing is salted per process; no output, the scenario hash included, may depend on it
@@ -444,3 +475,40 @@ class TestTraceLedger:
         for mode in ("hod", "flat"):
             log, _ = run_scenario(scenario, mode, 1)
             assert_trace_replays(log)
+
+
+class TestTraceWriter:
+    """write_trace streams the trace CSV: the same bytes as formatting the whole file at once."""
+
+    @pytest.mark.parametrize("name", sorted(EXAMPLE_DIGESTS))
+    def test_streamed_trace_equals_the_whole_file(self, name):
+        scenario = ScenarioConfig.from_file(str(EXAMPLES / f"{name}.yaml"))
+        for mode in ("hod", "flat"):
+            log, _ = run_scenario(scenario, mode, 1)
+            buf = io.StringIO()
+            cli.write_trace(log, buf)
+            assert buf.getvalue() == cli._header(log) + rows_to_csv(cli._trace_rows(log))
+
+    def test_no_events_writes_the_header_block_only(self):
+        log, _ = run_scenario(ScenarioConfig.from_file(str(EXAMPLES / "jamming.yaml")), "hod", 1)
+        log.events.clear()
+        buf = io.StringIO()
+        cli.write_trace(log, buf)
+        assert buf.getvalue() == cli._header(log)
+
+    def test_memory_stays_far_below_the_file_size(self, tmp_path):
+        # the csv writer's record buffer is a fixed ~130 kB; the rows themselves must not add up
+        spec = yaml.safe_load((EXAMPLES / "jamming.yaml").read_text(encoding="utf-8"))
+        spec["sim"]["horizon_windows"] = 24
+        log, _ = run_scenario(ScenarioConfig.from_dict(spec), "flat", 1)
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            with path.open("w", encoding="utf-8") as fh:
+                cli.write_trace(log, fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 3_000_000
+        assert peak < size / 10, (peak, size)
