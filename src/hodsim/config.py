@@ -275,6 +275,8 @@ class ScenarioConfig:
 
 
 def _canonical(obj: Any) -> Any:
+    if isinstance(obj, HexCoord):  # a tuple, but echoed as the mapping the YAML accepts
+        return {"q": obj.q, "r": obj.r}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _canonical(getattr(obj, f.name)) for f in dataclasses.fields(obj)

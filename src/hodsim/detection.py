@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -172,7 +171,8 @@ class ConnectivityGraph:
     adj[n] lists, ascending, the other nodes Topology.within finds at most
     short_range_m from n.  expected_route returns the minimum-hop path,
     tie-broken to the lexicographically smallest node-id sequence; None when
-    disconnected.
+    disconnected.  Each (src, dst) answer is searched for once, on its first
+    query, and kept; every call returns a fresh list.
     """
 
     def __init__(self, topology: Topology, short_range_m: float) -> None:
@@ -180,38 +180,46 @@ class ConnectivityGraph:
             [m for m in topology.within(n.x, n.y, short_range_m) if m != n.node_id]
             for n in topology.nodes
         ]
-        self._dist_cache: dict[int, list[int]] = {}
-
-    def _dist_to(self, dst: int) -> list[int]:
-        cached = self._dist_cache.get(dst)
-        if cached is not None:
-            return cached
-        dist = [-1] * len(self.adj)
-        dist[dst] = 0
-        dq = deque([dst])
-        while dq:
-            u = dq.popleft()
-            for v in self.adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    dq.append(v)
-        self._dist_cache[dst] = dist
-        return dist
+        self._routes: dict[tuple[int, int], tuple[int, ...] | None] = {}
 
     def expected_route(self, src: int, dst: int) -> list[int] | None:
-        if src == dst:
-            return [src]
-        dist = self._dist_to(dst)
-        if dist[src] < 0:
+        try:
+            route = self._routes[src, dst]
+        except KeyError:
+            route = self._routes[src, dst] = self._search(src, dst)
+        return None if route is None else list(route)
+
+    def _search(self, src: int, dst: int) -> tuple[int, ...] | None:
+        """Breadth-first from dst, level by level, until src's level is complete.
+
+        By then every node closer to dst than src has its exact hop count, so
+        the walk below sees the same distances a search of the whole graph
+        would give it.
+        """
+        adj = self.adj
+        dist = {dst: 0}
+        frontier = [dst]
+        level = 0
+        while frontier and src not in dist:
+            level += 1
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v] = level
+                        reached.append(v)
+            frontier = reached
+        if src not in dist:
             return None
         path = [src]
         cur = src
         while cur != dst:
             # smallest-id neighbor one step closer: yields the lexicographic
             # minimum among all minimum-hop paths
-            cur = min(v for v in self.adj[cur] if dist[v] == dist[cur] - 1)
+            closer = dist[cur] - 1
+            cur = min(v for v in adj[cur] if dist.get(v) == closer)
             path.append(cur)
-        return path
+        return tuple(path)
 
 
 def check_route(graph: ConnectivityGraph, packet: Packet) -> tuple[bool, dict[str, Any]]:

@@ -42,10 +42,13 @@ destination and applies the jammer SINR test per listener.
 Radio: log-distance path loss with optional gaussian shadowing per
 transmission.  A packet is delivered iff its sampled RSSI clears the receiver
 sensitivity and the signal-to-interference ratio clears the SINR threshold
-against the noise floor plus any active jammers.  Only in-range data-plane
-sends into a cluster node contend for its channel: two that overlap in time
-collide and both drop.  Scheduled control-plane messages are modeled on a
-separate logical channel, and sends to any other receiver do not collide.
+against the noise floor plus any active jammers.  The summed jammer level at a
+position is computed once per set of active jammers and kept on the engine
+(Engine.interference_dbm_at); with no jammer active it is the noise floor.
+Only in-range data-plane sends into a cluster node contend for its channel:
+two that overlap in time collide and both drop.  Scheduled control-plane
+messages are modeled on a separate logical channel, and sends to any other
+receiver do not collide.
 
 Energy: first-order radio model.  Transmit cost is e_elec * bits +
 e_amp * bits * d^2, receive cost is e_elec * bits; monitors additionally pay a
@@ -407,6 +410,8 @@ class Engine:
 
         # attack state (populated by the attacks module before run())
         self.interference: list[InterferenceSource] = []
+        # (x, y, indices of the active jammers) -> summed level: interference_dbm_at's
+        self._interference_levels: dict[tuple[float, float, tuple[int, ...]], float] = {}
         self.compromise: dict[int, list[tuple[SimTime, SimTime, CompromiseMode]]] = {}
         self.route_overrides: dict[int, list[tuple[SimTime, SimTime, int]]] = {}
 
@@ -463,14 +468,32 @@ class Engine:
         self._seq += 1
 
     def interference_dbm_at(self, x: float, y: float, t0: SimTime, t1: SimTime | None = None) -> float:
-        """Noise floor plus all jammers active anywhere in [t0, t1)."""
+        """Noise floor plus all jammers active anywhere in [t0, t1).
+
+        With no jammer active this is the noise floor.  Otherwise the level
+        is summed once per position and set of active jammers, and kept: the
+        key holds the jammers' indices in self.interference, to which attacks
+        only ever append, so a jammer added later makes a new key and never
+        meets a level summed without it.
+        """
         t1 = t0 + 1 if t1 is None else t1
-        levels = [self.config.radio.noise_floor_dbm]
-        for src in self.interference:
+        active: tuple[int, ...] = ()
+        for i, src in enumerate(self.interference):
             if src.start_us < t1 and src.end_us > t0:
+                active += (i,)
+        if not active:
+            return self.config.radio.noise_floor_dbm
+        key = (x, y, active)
+        level = self._interference_levels.get(key)
+        if level is None:
+            radio = self.config.radio
+            levels = [radio.noise_floor_dbm]
+            for i in active:
+                src = self.interference[i]
                 d = math.hypot(x - src.x, y - src.y)
-                levels.append(self.config.radio.deterministic_rssi(d, src.power_dbm))
-        return power_sum_dbm(*levels) if len(levels) > 1 else levels[0]
+                levels.append(radio.deterministic_rssi(d, src.power_dbm))
+            level = self._interference_levels[key] = power_sum_dbm(*levels)
+        return level
 
     # ------------------------------------------------------------------ trace
 
@@ -486,19 +509,21 @@ class Engine:
         control: bool = False,
     ) -> None:
         """Trace one hop event: tx, drop, rx or overheard rx."""
+        # positional, in field order, and _value_ rather than the slower
+        # Enum.value property: this runs for every hop event
         self.log.events.append(
             TraceEvent(
-                time_us=self.now,
-                event_kind=event_kind,
-                src=packet.src,
-                dst=dst,
-                cell=cell,
-                outcome=outcome,
-                rssi_dbm=rssi,
-                energy_uj=joules * 1e6,
-                packet_id=packet.packet_id,
-                pkt_kind=packet.kind.value,
-                control=control,
+                self.now,
+                event_kind,
+                packet.src,
+                dst,
+                cell,
+                outcome,
+                rssi,
+                joules * 1e6,
+                packet.packet_id,
+                packet.kind._value_,
+                control,
             )
         )
 
@@ -514,16 +539,16 @@ class Engine:
         """Trace one node's event that no hop carries: an idle or rule_eval charge, or a finding."""
         self.log.events.append(
             TraceEvent(
-                time_us=self.now,
-                event_kind=kind,
-                src=node,
-                dst=None,
-                cell=self.topology.node(node).cell,
-                outcome=outcome,
-                rssi_dbm=None,
-                energy_uj=joules * 1e6,
-                packet_id=packet_id,
-                pkt_kind=pkt_kind,
+                self.now,
+                kind,
+                node,
+                None,
+                self.topology.nodes[node].cell,
+                outcome,
+                None,
+                joules * 1e6,
+                packet_id,
+                pkt_kind,
             )
         )
 
@@ -548,9 +573,10 @@ class Engine:
         carried on its _PendingTx record to delivery.
         """
         radio = self.config.radio
+        nodes = self.topology.nodes
         if packet.phantom_pos is None:
             transmitter: int | None = packet.src
-            src_node = self.topology.node(packet.src)
+            src_node = nodes[packet.src]
             if active_at(self.compromise, packet.src, self.now) is CompromiseMode.SILENT:
                 return False
             if src_node.role is NodeRole.SENSOR and not packet.mac_exempt:
@@ -564,9 +590,9 @@ class Engine:
         else:
             transmitter = None  # external attacker hardware is not metered
             tx_pos = packet.phantom_pos
-            cell = self.topology.node(packet.origin).cell
+            cell = nodes[packet.origin].cell
         counted = transmitter is not None and cell is not None and not packet.long_range
-        dst_node = self.topology.node(packet.dst)
+        dst_node = nodes[packet.dst]
         distance = math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y)
 
         energy = 0.0
@@ -574,7 +600,7 @@ class Engine:
             energy = self.config.energy.tx_energy_j(packet.size_bits, distance)
             self.log.meters[transmitter].tx_j += energy
             counters = self.log.counters[transmitter]
-            kind = packet.kind.value
+            kind = packet.kind._value_
             counters.sent[kind] = counters.sent.get(kind, 0) + 1
             if packet.control:
                 counters.control_sent += 1
@@ -633,7 +659,7 @@ class Engine:
     def _resolve(self, hop: _PendingTx) -> None:
         radio = self.config.radio
         packet = hop.packet
-        dst_node = self.topology.node(packet.dst)
+        dst_node = self.topology.nodes[packet.dst]
         outcome = Outcome.DELIVERED
         if not hop.in_range:
             outcome = Outcome.OUT_OF_RANGE
@@ -647,7 +673,7 @@ class Engine:
         if outcome is Outcome.DELIVERED:
             self._deliver(hop)
         else:
-            self._trace_hop("drop", packet, packet.dst, hop.cell, outcome.value, hop.rssi_dbm, 0.0)
+            self._trace_hop("drop", packet, packet.dst, hop.cell, outcome._value_, hop.rssi_dbm, 0.0)
         self._overhear(hop)
         # Every hop resolves one latency after it starts, so every send still
         # unresolved started no earlier than this one: an entry that ended
@@ -665,10 +691,10 @@ class Engine:
         if hop.counted:
             self._cell_delivered[hop.cell] += 1
         self.log.delivered_to[packet.packet_id] = dst
-        self._trace_hop("rx", packet, dst, hop.cell, Outcome.DELIVERED.value, hop.rssi_dbm, rx_j)
+        self._trace_hop("rx", packet, dst, hop.cell, Outcome.DELIVERED._value_, hop.rssi_dbm, rx_j)
         if dst in self.inboxes:
             self.inboxes[dst].append((self.now, packet))
-        dst_node = self.topology.node(dst)
+        dst_node = self.topology.nodes[dst]
         if dst_node.role is NodeRole.SENSOR and packet.kind is PacketKind.SENSOR_DATA:
             self._relay_onward(packet, dst)
 

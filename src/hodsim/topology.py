@@ -16,12 +16,17 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 SQRT3 = math.sqrt(3.0)
 
-@dataclass(frozen=True, order=True)
-class HexCoord:
-    """Axial hex coordinate."""
+
+class HexCoord(NamedTuple):
+    """Axial hex coordinate.
+
+    A tuple, so hashing and comparing run in C: it hashes as, and compares
+    equal to, the plain tuple (q, r), and orders by (q, r).
+    """
 
     q: int
     r: int

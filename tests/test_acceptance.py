@@ -369,7 +369,8 @@ def test_criterion_5_oracles(capsys):
         if is_sleep_violation(smac, t) != (not aw):
             mismatches += 1
 
-    # (b) expected_route vs an independent BFS reconstruction, all pairs
+    # (b) expected_route vs an independent BFS reconstruction, all pairs, each
+    # asked twice in shuffled order (the graph keeps each answer)
     topo = build_topology(rings=2, sensors_per_cell=2, cell_radius_m=50.0, seed=1)
     from hodsim.detection import ConnectivityGraph
 
@@ -379,8 +380,7 @@ def test_criterion_5_oracles(capsys):
         a: sorted(b for b in range(n) if b != a and topo.distance(a, b) <= 75.0)
         for a in range(n)
     }
-    route_mismatches = 0
-    pairs_checked = 0
+    want_route = {}
     for dst in range(n):
         dist = {dst: 0}
         dq = deque([dst])
@@ -391,7 +391,6 @@ def test_criterion_5_oracles(capsys):
                     dist[v] = dist[u] + 1
                     dq.append(v)
         for src in range(n):
-            pairs_checked += 1
             if src not in dist:
                 want = None
             else:
@@ -400,8 +399,19 @@ def test_criterion_5_oracles(capsys):
                 while cur != dst:
                     cur = min(v for v in adj[cur] if dist.get(v, -2) == dist[cur] - 1)
                     want.append(cur)
-            if graph.expected_route(src, dst) != want:
-                route_mismatches += 1
+            want_route[src, dst] = want
+    queries = list(want_route) * 2
+    random.Random(5).shuffle(queries)  # its own stream, so (c) draws what it always drew
+    route_mismatches = sum(graph.expected_route(src, dst) != want_route[src, dst] for src, dst in queries)
+    pairs_checked = len(queries)
+    unreachable = sum(want is None for want in want_route.values())
+    # a returned route is the caller's own: changing it changes no later answer
+    src, dst = next(pair for pair, want in want_route.items() if want is not None and len(want) > 1)
+    got = graph.expected_route(src, dst)
+    got.append(got[0])
+    got[0] = -1
+    if graph.expected_route(src, dst) != want_route[src, dst]:
+        route_mismatches += 1
 
     # (c) engine event order vs a stable sort oracle
     eng = make_engine()
@@ -412,13 +422,14 @@ def test_criterion_5_oracles(capsys):
     eng.run()
     queue_ok = fired == sorted(entries, key=lambda e: (e[0], e[1]))
 
-    ok = mismatches == 0 and route_mismatches == 0 and queue_ok
+    ok = mismatches == 0 and route_mismatches == 0 and unreachable > 0 and queue_ok
     report(
         capsys,
         "criterion 5 (oracle equivalence)",
         ok,
         f"{n_checks} slot/sleep verdicts vs timeline replay ({mismatches} mismatches); "
-        f"{pairs_checked} route pairs vs BFS oracle ({route_mismatches} mismatches); "
+        f"{pairs_checked} route queries ({unreachable} unreachable pairs, each asked twice) vs "
+        f"BFS oracle ({route_mismatches} mismatches); "
         f"100000-event queue pops {'match' if queue_ok else 'diverge from'} the sort oracle",
     )
 

@@ -458,6 +458,8 @@ class TestEchoAndHash:
         echo = ScenarioConfig.from_yaml(FULL_YAML).echo()
         assert echo["attacks"][0]["kind"] == "Jamming"
         assert echo["attacks"][0]["cell"] == {"q": 1, "r": 0}
+        assert type(echo["attacks"][1]["cell"]) is dict  # a HexCoord, itself a tuple, echoes as {q, r}
+        assert echo["attacks"][1]["cell"] == {"q": 0, "r": 1}
         assert echo["topology"]["rings"] == 1
         assert echo["seed"] == 7
 
@@ -474,6 +476,8 @@ class TestEchoAndHash:
         b = ScenarioConfig.from_yaml(FULL_YAML).scenario_hash(3)
         assert a == b
         assert len(a) == 64 and all(c in "0123456789abcdef" for c in a)
+        # pinned: the canonical form (attack cells as {q, r} mappings among it) has not moved
+        assert a == "5ac659daa5bfbe3a2282aff3827957f0003f76adb1286ffb74ad544b65c86fe3"
 
 
 class TestUnknownEnumValue:

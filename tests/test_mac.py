@@ -140,21 +140,61 @@ class TestNextCompliantSlot:
             t += tdma.slot_duration_us
         return None
 
+    # (members, frame_length, slot_us, period_us, awake_fraction, phase_us)
+    GEOMETRIES = [
+        ([1, 2, 3], 3, 10_000, 60_000, 0.5, 0),
+        # frame longer than the membership: owners hold two or three slots
+        ([1, 2, 3], 7, 10_000, 90_000, 0.6, 13_000),
+        ([4, 9, 11], 7, 7_000, 90_000, 0.4, 13_000),
+        # non-zero phase offsets, one past a whole period
+        ([1, 2, 3, 4], 4, 5_000, 40_000, 0.75, 2_500),
+        ([1, 2, 3, 4], 6, 5_000, 40_000, 0.5, 47_000),
+        # never asleep: every owned slot is compliant
+        ([4, 9, 11], 5, 7_000, 50_000, 1.0, 3_000),
+        # a 6 ms sleep gap inside a 10 ms slot: [392 ms, 398 ms) lies in owner 9's slot at 390 ms
+        (list(range(10)), 10, 10_000, 200_000, 0.97, 198_000),
+    ]
+
     def test_matches_brute_scan(self):
-        tdma = build_tdma([1, 2, 3], 3, 10_000)
-        smac = SmacSchedule(period_us=60_000, awake_fraction=0.5, phase_offset_us=0)
         rng = random.Random(9)
-        for _ in range(300):
-            owner = rng.choice([1, 2, 3])
-            t_from = rng.randrange(0, 600_000)
-            got = next_compliant_slot(tdma, smac, owner, t_from)
-            want = self.brute(tdma, smac, owner, t_from, 1_200_000)
-            assert got == want
-            # postconditions: slot start, owner matches, fully awake
-            assert got % 10_000 == 0
-            assert got >= t_from
-            assert slot_owner_at(tdma, got) == owner
-            assert is_awake(smac, got) and is_awake(smac, got + 9_999)
+        for members, frame_length, slot_us, period_us, fraction, phase_us in self.GEOMETRIES:
+            tdma = build_tdma(members, frame_length, slot_us)
+            smac = SmacSchedule(period_us=period_us, awake_fraction=fraction, phase_offset_us=phase_us)
+            horizon = 12 * max(tdma.frame_duration_us, period_us)
+            for _ in range(300):
+                owner = rng.choice(members)
+                t_from = rng.randrange(0, horizon // 2)
+                got = next_compliant_slot(tdma, smac, owner, t_from)
+                want = self.brute(tdma, smac, owner, t_from, horizon)
+                assert want is not None
+                assert got == want, (tdma, smac, owner, t_from)
+                # postconditions: slot start, owner matches, fully awake
+                assert got % slot_us == 0
+                assert got >= t_from
+                assert slot_owner_at(tdma, got) == owner
+                assert is_awake(smac, got) and is_awake(smac, got + slot_us - 1)
+
+    @pytest.mark.parametrize(
+        "members, frame_length, fraction, phase_us, owner, t_from, found_at",
+        [
+            # always awake: owner 3's first slot is the third scanned
+            ([1, 2, 3], 3, 1.0, 0, 3, 0, 20_000),
+            # from 300 ms, owner 9's slots at 390 ms (a sleep gap inside) and 490 ms: the 20th scanned
+            (list(range(10)), 10, 0.97, 198_000, 9, 300_000, 490_000),
+            # a start inside a slot scans from the next slot start
+            ([1, 2, 3], 6, 1.0, 0, 1, 1, 30_000),
+        ],
+    )
+    def test_max_scan_slots_counts_every_slot_from_the_first_start(
+        self, members, frame_length, fraction, phase_us, owner, t_from, found_at
+    ):
+        d = 10_000
+        tdma = build_tdma(members, frame_length, d)
+        smac = SmacSchedule(period_us=200_000, awake_fraction=fraction, phase_offset_us=phase_us)
+        scanned = found_at // d - (t_from + d - 1) // d + 1
+        assert next_compliant_slot(tdma, smac, owner, t_from, max_scan_slots=scanned) == found_at
+        with pytest.raises(SchedulingError):
+            next_compliant_slot(tdma, smac, owner, t_from, max_scan_slots=scanned - 1)
 
     def test_unsatisfiable_raises(self):
         # wake window (500 us) shorter than any slot: no slot is ever compliant

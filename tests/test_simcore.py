@@ -338,6 +338,35 @@ class TestEngineMechanics:
         # outside the active window only the floor remains
         assert eng.interference_dbm_at(x, y, 200) == -95.0
 
+    def test_interference_cache_matches_the_uncached_sum(self):
+        def uncached(eng, x, y, t0, t1=None):
+            t1 = t0 + 1 if t1 is None else t1
+            radio = eng.config.radio
+            levels = [radio.noise_floor_dbm] + [
+                radio.deterministic_rssi(math.hypot(x - s.x, y - s.y), s.power_dbm)
+                for s in eng.interference
+                if s.start_us < t1 and s.end_us > t0
+            ]
+            return power_sum_dbm(*levels) if len(levels) > 1 else levels[0]
+
+        eng = make_engine()
+        eng.interference.append(InterferenceSource(x=30.0, y=0.0, power_dbm=10.0, start_us=100, end_us=300))
+        eng.interference.append(InterferenceSource(x=-20.0, y=5.0, power_dbm=0.0, start_us=200, end_us=400))
+        points = [(0.0, 0.0), (12.5, -3.0), (30.0, 0.0)]
+        # each jammer's start and end edges, alone, overlapping and as [t0, t1) ranges
+        times = [(t, None) for t in (99, 100, 199, 200, 299, 300, 399, 400)]
+        times += [(50, 100), (50, 101), (299, 301), (300, 350), (150, 250), (400, 500)]
+        for warm in (False, True):
+            for x, y in points:
+                for t0, t1 in times:
+                    assert eng.interference_dbm_at(x, y, t0, t1) == uncached(eng, x, y, t0, t1), (warm, x, y, t0, t1)
+        # a jammer appended after the queries is seen by the next one
+        before = eng.interference_dbm_at(0.0, 0.0, 250)
+        eng.interference.append(InterferenceSource(x=0.0, y=0.0, power_dbm=-20.0, start_us=0, end_us=1000))
+        after = eng.interference_dbm_at(0.0, 0.0, 250)
+        assert after > before
+        assert after == uncached(eng, 0.0, 0.0, 250)
+
     def test_window_boundaries_and_idle_charges(self):
         eng = make_engine(horizon_windows=3)
         eng.run()

@@ -92,6 +92,13 @@ class TestHexBasics:
             assert sorted(grid) == sorted(brute)
             assert len(grid) == 3 * rings * (rings + 1) + 1
 
+    def test_hexcoord_is_the_plain_tuple_for_hashing_and_order(self):
+        # sets and dicts of cells iterate in the same order as before HexCoord was a tuple
+        for q, r in [(0, 0), (1, -1), (-3, 2), (5, 0)]:
+            assert hash(HexCoord(q, r)) == hash((q, r))
+            assert HexCoord(q, r) == (q, r)
+        assert sorted([HexCoord(1, -1), HexCoord(0, 2), HexCoord(0, -1)]) == [(0, -1), (0, 2), (1, -1)]
+
     def test_grid_rejects_negative(self):
         with pytest.raises(ValueError):
             build_hex_grid(-1)
