@@ -4,8 +4,9 @@ Runs a scenario file in hierarchical mode, flat-baseline mode, or both
 (compare), over one seed or a seed range, and writes traces, summaries,
 metrics, and the comparison table under the output directory.
 
-Exit codes: 0 on success, 2 for bad usage or an invalid scenario file, 3 for
-any other failure during simulation or output writing.  Each attack's fit to
+Exit codes: 0 on success, 2 for bad usage (an --out path that is, or lies
+under, an existing file among it, found before any run) or an invalid scenario
+file, 3 for any other failure during simulation or output writing.  Each attack's fit to
 the grid, schedules and horizon is checked when the file is parsed; only a
 forgery interval with no admissible emission time (AttackSpecError) and a mac
 schedule that leaves a sensor no fully awake slot (the message names the mac
@@ -239,13 +240,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = ScenarioConfig.from_file(args.config)
         seeds = _parse_seeds(args, scenario)
+        out = Path(args.out)
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {args.out}: {existing} exists and is not a directory")
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     want_csv = args.format in ("csv", "both")
     want_text = args.format in ("text", "both")
-    outputs = _OutputSet(Path(args.out))
+    outputs = _OutputSet(out)
     modes = ["hod", "flat"] if args.mode == "compare" else [args.mode]
 
     try:

@@ -2,7 +2,8 @@
 
 The per-packet rules (foreign origin, TDMA slot, S-MAC sleep, route) live in
 one function, evaluate_data_packet, and the windowed jamming vote over channel
-statistics in detect_jamming; both monitor layers apply exactly these.
+statistics in detect_jamming, whose verdict jamming_votes takes once per
+(window, cell) when the window closes; both monitor layers apply exactly these.
 
 HodMonitors is the four-layer overlay.  Sensors host no detection logic at
 all; they only produce data.  Cluster nodes run the per-packet rules and the
@@ -265,6 +266,13 @@ def detect_jamming(
     return fired, evidence
 
 
+def jamming_votes(
+    stats_by_cell: dict[HexCoord, ChannelWindowStats], thresholds: DetectorThresholds
+) -> dict[HexCoord, tuple[bool, dict[str, Any]]]:
+    """One window's jamming vote for every cell: {cell: (fired, evidence)}."""
+    return {cell: detect_jamming(stats, thresholds) for cell, stats in stats_by_cell.items()}
+
+
 # ============================================================================
 # Per-packet rules and the cluster pipeline
 # ============================================================================
@@ -304,17 +312,17 @@ def evaluate_data_packet(
 def cluster_pipeline(
     engine: Engine,
     graph: ConnectivityGraph,
-    thresholds: DetectorThresholds,
     detector: int,
     window: int,
     received: list[tuple[SimTime, Packet]],
-    stats: ChannelWindowStats,
+    vote: tuple[bool, dict[str, Any]],
 ) -> tuple[list[Alert], int]:
     """Run one detector's window: gather, detect, package.
 
     The detector is a cluster node reading its inbox (overlay) or a sensor
     reading what it overheard (flat baseline); either way it judges its own
     cell's channel and the data packets addressed to its cell's cluster.
+    vote is that cell's jamming vote, taken once when the window closed.
     Returns the alerts plus the number of rule evaluations performed (for the
     monitor energy ledger).  Callers must not invoke this for a cluster in
     Silent compromise.
@@ -329,7 +337,7 @@ def cluster_pipeline(
     latency = engine.config.radio.per_hop_latency_us
     alerts: list[Alert] = []
 
-    fired, evidence = detect_jamming(stats, thresholds)
+    fired, evidence = vote
     evals = 1
     if fired:
         alerts.append(
@@ -349,13 +357,10 @@ def cluster_pipeline(
         )
 
     # package phase: drop duplicates within the window
-    seen: set[tuple] = set()
-    unique: list[Alert] = []
+    unique: dict[tuple, Alert] = {}
     for a in alerts:
-        if a.dedup_key() not in seen:
-            seen.add(a.dedup_key())
-            unique.append(a)
-    return unique, evals
+        unique.setdefault(a.dedup_key(), a)
+    return list(unique.values()), evals
 
 
 # ============================================================================
@@ -492,6 +497,8 @@ class HodMonitors:
             n: set() for n in [*topo.regional_by_region.values(), topo.base_id]
         }
         self.reported_alert_counts: dict[int, int] = {}  # cluster -> this window's report
+        # window -> {cell: jamming vote}, for this window and the lookback before it
+        self.votes: dict[int, dict[HexCoord, tuple[bool, dict[str, Any]]]] = {}
         engine.inboxes = {m: [] for m in topo.monitor_ids()}
         engine.monitors = self
 
@@ -499,6 +506,8 @@ class HodMonitors:
 
     def on_window_end(self, engine: Engine, window: int) -> None:
         topo = engine.topology
+        self.votes[window] = jamming_votes(engine.log.window_stats[window], self.thresholds)
+        self.votes.pop(window - self.thresholds.heartbeat_timeout_windows - 1, None)
         self.reported_alert_counts = {}
         for cell in topo.cells:
             self._cluster_step(topo.cluster_of(cell), cell, window)
@@ -519,10 +528,7 @@ class HodMonitors:
         if mode is CompromiseMode.SILENT:
             return
         received = eng.inboxes[cluster]
-        stats = eng.log.window_stats[window][cell]
-        alerts, evals = cluster_pipeline(
-            eng, self.graph, self.thresholds, cluster, window, received, stats
-        )
+        alerts, evals = cluster_pipeline(eng, self.graph, cluster, window, received, self.votes[window][cell])
 
         # liveness ledger: any claimed-origin data from the cell's own sensors is a sign of life
         sensors = eng.topology.sensors_of(cell)
@@ -583,9 +589,7 @@ class HodMonitors:
                 if packet.kind in (PacketKind.CLUSTER_REPORT, PacketKind.HEARTBEAT):
                     self.last_seen[src] = window
                 if packet.kind is PacketKind.CLUSTER_REPORT:
-                    self.child_report_log[src][packet.payload.get("window", window)] = (
-                        packet.payload.get("alert_count", 0)
-                    )
+                    self.child_report_log[src][packet.payload["window"]] = packet.payload["alert_count"]
                 if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
                     alert = packet.payload["alert"]
                     if self._first_sight(regional, alert):
@@ -595,21 +599,20 @@ class HodMonitors:
         evals = 0
         for child in children:
             cell = topo.node(child).cell
-            # Lookback pairs each completed window's overheard channel stats
-            # with the child's report about that same window; the report for
-            # window w only arrives during w+1, so the current window is
+            # Lookback pairs each completed window's jamming vote on the child's
+            # cell with the child's report about that same window; the report
+            # for window w only arrives during w+1, so the current window is
             # excluded.  A missing report is absence, not a zero claim.
             evidence = []
             for w in range(max(0, window - self.thresholds.heartbeat_timeout_windows), window):
-                stats = eng.log.window_stats[w][cell]
-                anomalous, _ev = detect_jamming(stats, self.thresholds)
+                anomalous, vote_ev = self.votes[w][cell]
                 reported = self.child_report_log[child].get(w)
                 evidence.append(
                     {
                         "window": w,
                         "anomalous": anomalous,
                         "reported_zero": reported == 0,
-                        "overheard_pdr": round(stats.pdr, 6),
+                        "overheard_pdr": vote_ev["pdr"],
                     }
                 )
             evals += 2 + len(evidence)
@@ -715,16 +718,10 @@ class FlatMonitors:
 
     def on_window_end(self, engine: Engine, window: int) -> None:
         topo = engine.topology
-        stats = engine.log.window_stats[window]
+        votes = jamming_votes(engine.log.window_stats[window], self.thresholds)
         for sensor in topo.sensor_ids():
             found, evals = cluster_pipeline(
-                engine,
-                self.graph,
-                self.thresholds,
-                sensor,
-                window,
-                engine.overheard[sensor],
-                stats[topo.node(sensor).cell],
+                engine, self.graph, sensor, window, engine.overheard[sensor], votes[topo.node(sensor).cell]
             )
             for a in found:
                 engine.log.flat_anomalies.append(a)

@@ -311,6 +311,17 @@ class TestExitCodes:
         assert not (out / "trace_hod_3.csv").exists()
         assert not (out / "summary_hod_3.txt").exists()
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["out-is-a-file", "out-under-a-file"])
+    def test_out_under_a_file_is_usage_error_before_any_run(self, cfg, tmp_path, capsys, sub):
+        squatter = tmp_path / "F"
+        squatter.write_text("keep me\n", encoding="utf-8")
+        assert run_cli(cfg, squatter / sub, "--seed", "3") == 2
+        captured = capsys.readouterr()
+        assert f"--out {squatter / sub}: {squatter} exists and is not a directory" in captured.err
+        assert "ran " not in captured.out
+        assert squatter.read_text(encoding="utf-8") == "keep me\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "scenario.yaml"]
+
     def test_trace_write_failing_part_way_leaves_no_partial_file(self, cfg, tmp_path, capsys, monkeypatch):
         real_tuples = cli._trace_tuples
         calls = []

@@ -1,9 +1,10 @@
 """Detection rules: unit truth tables, routing oracle, watchdog, rippling."""
 
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
+import hodsim.detection
 from conftest import make_engine
 from hodsim.attacks import AttackKind, AttackSpec, apply_attacks
 from hodsim.detection import (
@@ -12,6 +13,7 @@ from hodsim.detection import (
     BaseAlertRecord,
     ConnectivityGraph,
     DetectorThresholds,
+    FlatMonitors,
     HodMonitors,
     base_station_report,
     check_route,
@@ -25,10 +27,13 @@ from hodsim.detection import (
 from hodsim.metrics import score
 from hodsim.simcore import (
     ChannelWindowStats,
+    CompromiseMode,
     GroundTruthEvent,
     Packet,
     PacketKind,
     RadioModel,
+    WorkloadConfig,
+    active_at,
 )
 from hodsim.topology import HexCoord, NodeRole, build_topology
 
@@ -238,11 +243,10 @@ class TestClusterPipeline:
         alerts, evals = cluster_pipeline(
             self.eng,
             self.graph,
-            self.thresholds,
             self.detector,
             0,
             received,
-            stats or stats_for(CELL),
+            detect_jamming(stats or stats_for(CELL), self.thresholds),
         )
         assert all(a.detected_by == self.detector for a in alerts)
         return alerts, evals
@@ -330,6 +334,108 @@ class TestClusterPipelineAtASensor(TestClusterPipeline):
     def setup_method(self):
         super().setup_method()
         self.detector = self.sensors[2]
+
+
+class TestOneJammingVote:
+    """The jamming vote is taken once per (window, cell); every reader sees that vote."""
+
+    SPC = 3
+    # Two weak jammers.  CELL's cluster reports zero alerts (the regional's
+    # lookback fires); the other jammed cell's cluster is silent for two windows.
+    ATTACKS = [
+        AttackSpec(kind=AttackKind.JAMMING, start_us=W, end_us=4 * W, cell=CELL, power_dbm=-10.0),
+        AttackSpec(
+            kind=AttackKind.NODE_COMPROMISE,
+            start_us=0,
+            end_us=6 * W,
+            cell=CELL,
+            compromise_mode="FalseData",
+        ),
+        AttackSpec(
+            kind=AttackKind.JAMMING, start_us=W, end_us=4 * W, cell=HexCoord(-1, 0), power_dbm=-5.0
+        ),
+        AttackSpec(
+            kind=AttackKind.NODE_COMPROMISE,
+            start_us=2 * W,
+            end_us=4 * W,
+            cell=HexCoord(-1, 0),
+            compromise_mode="Silent",
+        ),
+    ]
+
+    def run(self, mode):
+        eng = make_engine(
+            sensors_per_cell=self.SPC,
+            mode=mode,
+            workload=WorkloadConfig(),
+            horizon_windows=6,
+            attacks=self.ATTACKS,
+        )
+        (HodMonitors if mode == "hod" else FlatMonitors)(eng)
+        apply_attacks(eng)
+        eng.run()
+        return eng
+
+    def fired(self, eng):
+        """{(window, cell) whose vote fired}, recomputed from the run's window stats."""
+        thresholds = eng.config.detect.resolved(eng.config.radio)
+        return {
+            (w, cell)
+            for w, by_cell in enumerate(eng.log.window_stats)
+            for cell, stats in by_cell.items()
+            if detect_jamming(stats, thresholds)[0]
+        }
+
+    @pytest.mark.parametrize("mode", ["hod", "flat"])
+    def test_one_vote_per_window_and_cell(self, mode, monkeypatch):
+        calls = []
+
+        def counted(stats, thresholds):
+            calls.append((stats.window, stats.cell))
+            return detect_jamming(stats, thresholds)
+
+        monkeypatch.setattr(hodsim.detection, "detect_jamming", counted)
+        eng = self.run(mode)
+        assert len(calls) == len(eng.topology.cells) * eng.log.n_windows
+        assert len(set(calls)) == len(calls)
+
+    def test_flat_sensors_of_a_cell_share_its_vote(self):
+        eng = self.run("flat")
+        per_pair = Counter(
+            (a.window, a.suspect)
+            for a in eng.log.flat_anomalies
+            if a.rule is AlertRule.JAMMING_SUSPECTED
+        )
+        assert per_pair
+        assert set(per_pair.values()) == {self.SPC}
+        assert set(per_pair) == {(w, suspect_cell(cell)) for w, cell in self.fired(eng)}
+
+    def test_hod_cluster_and_lookback_read_the_vote(self):
+        eng = self.run("hod")
+        topo = eng.topology
+        fired = self.fired(eng)
+        raised = {
+            (a.window, a.suspect) for a in eng.log.alerts if a.rule is AlertRule.JAMMING_SUSPECTED
+        }
+        silenced = 0
+        for w in range(eng.log.n_windows):
+            for cell in topo.cells:
+                silent = active_at(eng.compromise, topo.cluster_of(cell), (w + 1) * W)
+                if silent is CompromiseMode.SILENT:
+                    silenced += (w, cell) in fired
+                    assert (w, suspect_cell(cell)) not in raised
+                else:
+                    assert ((w, suspect_cell(cell)) in raised) == ((w, cell) in fired)
+        assert silenced  # a silent cluster's cell was jammed too: its vote went unread
+
+        suppressed = [a for a in eng.log.alerts if a.rule is AlertRule.SUPPRESSED_ALERTS]
+        assert suppressed
+        for a in suppressed:
+            cell = topo.node(int(a.suspect.split(":")[1])).cell
+            for entry in a.evidence["lookback"]:
+                w = entry["window"]
+                assert entry["overheard_pdr"] == round(eng.log.window_stats[w][cell].pdr, 6)
+                assert entry["anomalous"] == ((w, cell) in fired)
 
 
 class TestWatchdog:
