@@ -276,7 +276,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"{'base alerts' if mode == 'hod' else 'local anomalies'}, "
                     f"{m.total_messages} messages"
                 )
-                # let the log go before the next run, so only one run's log is ever alive
+                # a finished run holds no reference cycle (Engine.run drops its heap and
+                # monitors), so this frees the log now and only one run's log is ever alive
                 del log, topology
         if want_csv:
             for mode in modes:

@@ -704,7 +704,6 @@ class FlatMonitors:
     """Per-sensor standalone IDS: the cluster's window step at every sensor, plus gossip."""
 
     def __init__(self, engine: Engine) -> None:
-        self.engine = engine
         self.thresholds = engine.config.detect.resolved(engine.config.radio)
         self.graph = ConnectivityGraph(engine.topology, engine.config.radio.short_range_m)
         topo = engine.topology

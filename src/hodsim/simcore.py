@@ -7,10 +7,10 @@ and derives the run log's scenario hash and config echo from it, so a run
 always reports the configuration it ran.
 
 Everything runs on an integer microsecond clock.  Each event is a handler and
-its one argument (a hop record, a packet or a window index), kept on the
-engine's binary heap as (time, sequence, handler, argument); the engine
-schedules no closures.  Events execute in strict (time, sequence) order, so
-identical inputs replay to byte-identical logs.  The engine is
+its one argument (a hop record, a packet, a planned report or a window index),
+kept on the engine's binary heap as (time, sequence, handler, argument); the
+engine schedules no closures.  Events execute in strict (time, sequence) order,
+so identical inputs replay to byte-identical logs.  The engine is
 detection-agnostic: monitor layers (the hierarchical overlay or the flat
 per-sensor baseline) attach as a hook object and are invoked once per
 aggregation window.  A monitor registers the receive buffers it reads (cluster
@@ -24,6 +24,14 @@ the cluster node, mean carrier-sense time) into RunLog.window_stats, indexed
 [window][cell], charges every node its idle cost, and then calls the monitor
 hook.  Monitors read the statistics of any closed window from that one store
 and keep no copy of their own.
+
+Workload: every periodic sensor report of the run is planned as integers when
+the run starts.  Its jitter, packet id, any RouteDeviation ground truth and its
+heap sequence number are fixed then, in (cell, sensor, report) order, and it is
+kept as (time, sequence, packet id, sensor, destination).  Only the next report
+sits on the heap; its Packet is built when it is sent, so a run holds the
+packets in flight rather than every report of the horizon, and equal-time ties
+resolve as if each report had been scheduled at the start.
 
 Hops: Engine.send decides every fact about a hop once (the true transmit
 position, the cell it is traced and counted in, whether it counts toward that
@@ -204,7 +212,7 @@ class Outcome(enum.Enum):
     COLLISION = "Dropped(Collision)"
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     packet_id: int
     kind: PacketKind
@@ -378,6 +386,8 @@ class Engine:
         # (time, seq, handler, arg): seq breaks ties in schedule order
         self._heap: list[tuple[SimTime, int, Callable[[Any], object], Any]] = []
         self._seq = 0
+        # planned sensor reports not yet on the heap, latest first (_plan_workload)
+        self._reports: list[tuple[SimTime, int, int, int, int]] = []
         self.monitors: Any = None
 
         self._shadow_rng = random.Random(f"{seed}|shadow")
@@ -448,16 +458,23 @@ class Engine:
         self._packet_seq += 1
         return pid
 
-    def new_packet(self, kind: PacketKind, src: int, dst: int, **flags: Any) -> Packet:
+    def new_packet(
+        self,
+        kind: PacketKind,
+        src: int,
+        dst: int,
+        *,
+        payload: dict[str, Any] | None = None,
+        control: bool = False,
+        long_range: bool = False,
+        mac_exempt: bool = False,
+        phantom_pos: tuple[float, float] | None = None,
+    ) -> Packet:
         """A packet from src with the next id and the configured size; its origin is src."""
+        # positional, in field order: keyword matching costs more than the rest
         return Packet(
-            packet_id=self.next_packet_id(),
-            kind=kind,
-            src=src,
-            origin=src,
-            dst=dst,
-            size_bits=self.config.energy.packet_size_bits,
-            **flags,
+            self.next_packet_id(), kind, src, src, dst, self.config.energy.packet_size_bits,
+            [], {} if payload is None else payload, control, long_range, mac_exempt, phantom_pos,
         )
 
     def schedule(self, t: SimTime, handler: Callable[[Any], object], arg: Any) -> None:
@@ -810,15 +827,18 @@ class Engine:
             lst.clear()
 
     def _plan_workload(self) -> None:
+        """Plan every sensor report as (time, seq, packet id, sensor, dst); see Workload above."""
         wl = self.config.workload
         if not wl.sensors_enabled:
             return
         horizon = self.log.horizon_us
         interval = wl.report_interval_us
         jitter_span = int(interval * wl.jitter_frac)
+        reports = []
         for cell in self.topology.cells:
             tdma = self.tdma[cell]
             smac = self.smac[cell]
+            cluster = self.topology.cluster_of(cell)
             for sensor in self.topology.sensors_of(cell):
                 k = 0
                 while True:
@@ -828,28 +848,46 @@ class Engine:
                     jitter = self._jitter_rng.randint(-jitter_span, jitter_span) if jitter_span else 0
                     t = next_compliant_slot(tdma, smac, sensor, max(nominal + jitter, 0))
                     if t < horizon:
-                        self._plan_sensor_send(sensor, cell, t)
+                        relay = active_at(self.route_overrides, sensor, t)
+                        packet_id = self.next_packet_id()
+                        if relay is not None:
+                            self.log.ground_truth.append(
+                                GroundTruthEvent(
+                                    time_us=t,
+                                    kind="RouteDeviation",
+                                    target=suspect_node(sensor),
+                                    detail=f"detour via node {relay}",
+                                    packet_id=packet_id,
+                                )
+                            )
+                        reports.append((t, self._seq, packet_id, sensor, cluster if relay is None else relay))
+                        self._seq += 1
                     k += 1
+        # latest first, so the next report is popped off the end
+        reports.sort(reverse=True)
+        self._reports = reports
+        self._schedule_next_report()
 
-    def _plan_sensor_send(self, sensor: int, cell: HexCoord, t: SimTime) -> None:
-        cluster = self.topology.cluster_of(cell)
-        relay = active_at(self.route_overrides, sensor, t)
-        dst = relay if relay is not None else cluster
-        packet = self.new_packet(PacketKind.SENSOR_DATA, sensor, dst)
-        if relay is not None:
-            self.log.ground_truth.append(
-                GroundTruthEvent(
-                    time_us=t,
-                    kind="RouteDeviation",
-                    target=suspect_node(sensor),
-                    detail=f"detour via node {relay}",
-                    packet_id=packet.packet_id,
-                )
-            )
-        self.schedule(t, self.send, packet)
+    def _schedule_next_report(self) -> None:
+        """Put the next planned report on the heap under the sequence number it was planned with."""
+        if self._reports:
+            report = self._reports.pop()
+            heapq.heappush(self._heap, (report[0], report[1], self._send_report, report))
+
+    def _send_report(self, report: tuple[SimTime, int, int, int, int]) -> None:
+        _t, _seq, packet_id, sensor, dst = report
+        self._schedule_next_report()
+        self.send(
+            Packet(packet_id, PacketKind.SENSOR_DATA, sensor, sensor, dst, self.config.energy.packet_size_bits)
+        )
 
     def run(self) -> RunLog:
-        """Execute the scenario to its horizon and return the completed log."""
+        """Execute the scenario to its horizon and return the completed log.
+
+        What is left on the heap after the drain, and the monitors, are
+        dropped: both refer back to the engine, so the engine and its log are
+        freed by reference counting once the caller lets go of them.
+        """
         # boundaries are scheduled before the workload so that at an exact
         # boundary instant the window rolls over before any same-time send
         sim = self.config.sim
@@ -864,4 +902,6 @@ class Engine:
                 raise AssertionError("event queue went backwards")
             self.now = t
             handler(arg)
+        heap.clear()
+        self.monitors = None
         return self.log

@@ -1,13 +1,34 @@
 """Shared helpers: engine factories, ledger audits, and log serialization."""
 
 import csv
+import gc
 import io
 import math
 from collections import Counter
 
+import pytest
+
 from hodsim.cli import write_trace
 from hodsim.config import ScenarioConfig, SimSection, TopologyConfig
 from hodsim.simcore import Engine, EnergyModel, MacConfig, RadioModel, WorkloadConfig
+
+
+@pytest.fixture
+def collector_paused():
+    """Collect once, then keep the cyclic collector off for the test.
+
+    A run that leaves a reference cycle behind then stays alive until a
+    gc.collect() the test makes itself, instead of until a pass the
+    collector happens to start.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def make_engine(

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from decimal import Decimal
 from pathlib import Path
 
@@ -419,6 +420,26 @@ class TestDeterminism:
         assert sorted(p.name for p in a.iterdir()) == sorted(p.name for p in b.iterdir())
         for p in sorted(a.iterdir()):
             assert (b / p.name).read_bytes() == p.read_bytes(), p.name
+
+
+class TestRunMemory:
+    def test_no_earlier_run_is_alive_when_a_run_starts(self, tmp_path, monkeypatch, collector_paused):
+        # the README's promise: a --seeds sweep needs the memory of one run's log
+        p = tmp_path / "scenario.yaml"
+        p.write_text(SCENARIO.replace("sensors_enabled: false", "sensors_enabled: true"), encoding="utf-8")
+        logs = []
+        alive_at_start = []
+
+        def tracked_run_scenario(scenario, mode, seed):
+            alive_at_start.append(sum(ref() is not None for ref in logs))
+            log, topology = run_scenario(scenario, mode, seed)
+            logs.append(weakref.ref(log))
+            return log, topology
+
+        monkeypatch.setattr(cli, "run_scenario", tracked_run_scenario)
+        assert run_cli(str(p), tmp_path / "out", "--mode", "compare", "--seeds", "1..3") == 0
+        assert alive_at_start == [0] * 6
+        assert sum(ref() is not None for ref in logs) == 0
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cfg"

@@ -4,15 +4,20 @@ Expected numbers are either closed-form (computed inline from first
 principles with raw math, not the module under test) or statistical bounds.
 """
 
+import gc
 import heapq
 import math
 import random
+import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from conftest import assert_energy_ledger_consistent, make_engine, serialize_log
+from hodsim.config import ScenarioConfig
 from hodsim.detection import FlatMonitors, HodMonitors
+from hodsim.metrics import run_scenario
 from hodsim.simcore import (
     CompromiseMode,
     Engine,
@@ -529,3 +534,63 @@ class TestOverhearListeners:
         eng.run()
         assert eng.overheard == {}
         assert eng._listeners == {}
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cfg"
+
+
+class TestRunMemory:
+    """A run holds what is in flight, and a finished run is freed without the collector."""
+
+    @pytest.mark.parametrize("mode", ["hod", "flat"])
+    @pytest.mark.parametrize("example", sorted(p.stem for p in EXAMPLES.glob("*.yaml")))
+    def test_finished_run_is_freed_by_reference_counting(self, example, mode, collector_paused):
+        scenario = ScenarioConfig.from_file(str(EXAMPLES / f"{example}.yaml"))
+        log, topology = run_scenario(scenario, mode, 1)
+        assert log.events and log.ground_truth
+        ref = weakref.ref(log)
+        del log, topology
+        log_alive = ref() is not None
+        assert not log_alive
+        assert gc.collect() == 0
+
+    def workload_engine(self, horizon_windows):
+        eng = make_engine(sensors_per_cell=3, workload=WorkloadConfig(), horizon_windows=horizon_windows)
+        HodMonitors(eng)
+        return eng
+
+    def test_reports_are_built_when_they_are_sent(self, collector_paused):
+        eng = self.workload_engine(horizon_windows=20)
+        sensors = len(eng.topology.sensor_ids())
+        live = []
+        # scheduled before run(): fires at the first boundary, before the window closes
+        eng.schedule(
+            eng.config.sim.aggregation_window_us,
+            lambda _: live.append(sum(isinstance(o, Packet) for o in gc.get_objects())),
+            None,
+        )
+        log = eng.run()
+        reports = sum(1 for e in log.events if e.event_kind == "tx" and e.pkt_kind == "SensorData")
+        assert reports >= 20 * sensors  # one report per sensor and window
+        # the first window's reports sit in the cluster inboxes; none of the later ones exists yet
+        assert 0 < live[0] < 2 * sensors
+
+    def test_planned_reports_keep_their_place_among_equal_time_events(self):
+        first = self.workload_engine(horizon_windows=2).run()
+        t0 = next(e.time_us for e in first.events if e.event_kind == "tx" and e.pkt_kind == "SensorData")
+        at_t0 = sum(1 for e in first.events if e.event_kind == "tx" and e.pkt_kind == "SensorData" and e.time_us == t0)
+
+        eng = self.workload_engine(horizon_windows=2)
+        seen = {}
+
+        def count_reports_sent(label):
+            seen[label] = sum(
+                1 for e in eng.log.events if e.event_kind == "tx" and e.pkt_kind == "SensorData" and e.time_us == t0
+            )
+
+        # one probe is scheduled before run(), the other by an event during the run
+        eng.schedule(t0, count_reports_sent, "before run")
+        eng.schedule(0, lambda _: eng.schedule(t0, count_reports_sent, "during run"), None)
+        log = eng.run()
+        assert seen == {"before run": 0, "during run": at_t0}
+        assert serialize_log(log) == serialize_log(first)
