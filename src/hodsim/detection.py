@@ -226,14 +226,16 @@ class ConnectivityGraph:
 def check_route(graph: ConnectivityGraph, packet: Packet) -> tuple[bool, dict[str, Any]]:
     """Route verdict for a data packet addressed to its destination.
 
-    The observed path is the claimed origin followed by every hop receiver,
-    completed with the destination when the last hop was not delivered (a
-    packet overheard on its way to a destination that never received it).
+    The observed path is read from the header alone: the claimed origin, the
+    link-layer sender when that is a relay (src != origin), and the
+    destination.  The engine relays a packet at most once, so this is every
+    node the packet passed through, whether or not its last hop was delivered.
     """
     expected = graph.expected_route(packet.origin, packet.dst)
-    observed = [packet.origin, *packet.path_so_far]
-    if observed[-1] != packet.dst:
-        observed.append(packet.dst)
+    if packet.src == packet.origin:
+        observed = [packet.origin, packet.dst]
+    else:
+        observed = [packet.origin, packet.src, packet.dst]
     if expected is None:
         return False, {"error": "NoRoute"}
     violated = observed != expected
@@ -818,6 +820,10 @@ def base_station_report(
         ri: run_log.base_received[ri].base_arrival_us - run_log.ground_truth[gi].time_us
         for gi, ri in pairs.items()
     }
+    monitors = {
+        suspect_node(n)
+        for n in (*topology.cluster_by_cell.values(), *topology.regional_by_region.values())
+    }
     tally: dict[str, dict[str, int]] = {}
     timeline = []
     compromised: set[str] = set()
@@ -838,10 +844,8 @@ def base_station_report(
                 "hop_trail": list(a.hop_trail),
             }
         )
-        if a.rule in (AlertRule.MISSED_HEARTBEAT, AlertRule.SUPPRESSED_ALERTS):
-            suspect_id = int(a.suspect.split(":")[1])
-            if topology.role(suspect_id) in (NodeRole.CLUSTER, NodeRole.REGIONAL):
-                compromised.add(a.suspect)
+        if a.rule in (AlertRule.MISSED_HEARTBEAT, AlertRule.SUPPRESSED_ALERTS) and a.suspect in monitors:
+            compromised.add(a.suspect)
     return SummaryReport(
         n_windows=run_log.n_windows,
         tally=tally,

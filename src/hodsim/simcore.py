@@ -33,19 +33,22 @@ sits on the heap; its Packet is built when it is sent, so a run holds the
 packets in flight rather than every report of the horizon, and equal-time ties
 resolve as if each report had been scheduled at the start.
 
-Hops: Engine.send decides every fact about a hop once (the true transmit
-position, the cell it is traced and counted in, whether it counts toward that
-cell's PDR, whether it contends for a cluster's channel, its sampled RSSI) and
-carries them on the hop's _PendingTx record; resolution, delivery and
-overhearing read the record and decide nothing again.  One writer traces every
-hop row (tx, drop, rx, overheard rx) and one every node row (idle and rule_eval
-charges, findings).
+Hops: a Packet carries only its header (ids, kind, payload and flags); no
+send or delivery changes it, and every hop is priced at the configured
+packet_size_bits.  Engine.send decides every fact about a hop once (the true
+transmit position, the cell it is traced and counted in, whether it counts
+toward that cell's PDR, whether it contends for a cluster's channel, its
+sampled RSSI) and carries them on the hop's _PendingTx record; resolution,
+delivery and overhearing read the record and decide nothing again.  One writer
+traces every hop row (tx, drop, rx, overheard rx) and one every node row (idle
+and rule_eval charges, findings).
 
-Overhearing: the registered overhearing sensors that hear a transmitter at
-zero shadowing are found once, on its first data send, from Topology.within at
-the radio's reach, and kept with their RSSI in ascending id order; a phantom
-transmission finds its listeners on every send.  Each send then skips its
-destination and applies the jammer SINR test per listener.
+Overhearing: the registered overhearing sensors that hear a transmit position
+at zero shadowing are found once, on the first data send from that position
+(a node's own, or a phantom's forged one), from Topology.within at the radio's
+reach, and kept with their RSSI in ascending id order.  Each send then skips
+its transmitter and its destination and applies the jammer SINR test per
+listener.
 
 Radio: log-distance path loss with optional gaussian shadowing per
 transmission.  A packet is delivered iff its sampled RSSI clears the receiver
@@ -141,14 +144,9 @@ class RadioModel:
         p = self.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
         return p - self.path_loss_db(distance_m)
 
-    def rssi_at(
-        self,
-        distance_m: float,
-        rng: random.Random,
-        tx_power_dbm: float | None = None,
-    ) -> float:
-        """Sampled RSSI: deterministic path loss plus gaussian shadowing."""
-        base = self.deterministic_rssi(distance_m, tx_power_dbm)
+    def rssi_at(self, distance_m: float, rng: random.Random) -> float:
+        """Sampled RSSI at tx_power_dbm: deterministic path loss plus gaussian shadowing."""
+        base = self.deterministic_rssi(distance_m)
         if self.shadowing_sigma_db > 0.0:
             return base + rng.gauss(0.0, self.shadowing_sigma_db)
         return base
@@ -219,8 +217,6 @@ class Packet:
     src: int  # claimed link-layer sender
     origin: int  # claimed original source
     dst: int
-    size_bits: int
-    path_so_far: list[int] = field(default_factory=list)
     payload: dict[str, Any] = field(default_factory=dict)
     control: bool = False  # IDS control plane (separate logical channel)
     long_range: bool = False
@@ -448,8 +444,10 @@ class Engine:
         # receive buffers, registered by the attached monitor
         self.inboxes: dict[int, list[tuple[SimTime, Packet]]] = {}
         self.overheard: dict[int, list[tuple[SimTime, Packet]]] = {}
-        # transmitter -> its overhearing sensors, filled on its first data send
-        self._listeners: dict[int, list[tuple[int, Node, float]]] = {}
+        # transmit position -> its overhearing sensors, filled on its first data send
+        self._listeners: dict[tuple[float, float], list[tuple[int, Node, float]]] = {}
+        # every hop is packet_size_bits long, so every reception costs the same
+        self._rx_j = config.energy.rx_energy_j(config.energy.packet_size_bits)
 
     # ------------------------------------------------------------------ utils
 
@@ -470,11 +468,11 @@ class Engine:
         mac_exempt: bool = False,
         phantom_pos: tuple[float, float] | None = None,
     ) -> Packet:
-        """A packet from src with the next id and the configured size; its origin is src."""
+        """A packet from src with the next id; its origin is src."""
         # positional, in field order: keyword matching costs more than the rest
         return Packet(
-            self.next_packet_id(), kind, src, src, dst, self.config.energy.packet_size_bits,
-            [], {} if payload is None else payload, control, long_range, mac_exempt, phantom_pos,
+            self.next_packet_id(), kind, src, src, dst,
+            {} if payload is None else payload, control, long_range, mac_exempt, phantom_pos,
         )
 
     def schedule(self, t: SimTime, handler: Callable[[Any], object], arg: Any) -> None:
@@ -614,7 +612,7 @@ class Engine:
 
         energy = 0.0
         if transmitter is not None:
-            energy = self.config.energy.tx_energy_j(packet.size_bits, distance)
+            energy = self.config.energy.tx_energy_j(self.config.energy.packet_size_bits, distance)
             self.log.meters[transmitter].tx_j += energy
             counters = self.log.counters[transmitter]
             kind = packet.kind._value_
@@ -702,13 +700,11 @@ class Engine:
     def _deliver(self, hop: _PendingTx) -> None:
         packet = hop.packet
         dst = packet.dst
-        packet.path_so_far.append(dst)
-        rx_j = self.config.energy.rx_energy_j(packet.size_bits)
-        self.log.meters[dst].rx_j += rx_j
+        self.log.meters[dst].rx_j += self._rx_j
         if hop.counted:
             self._cell_delivered[hop.cell] += 1
         self.log.delivered_to[packet.packet_id] = dst
-        self._trace_hop("rx", packet, dst, hop.cell, Outcome.DELIVERED._value_, hop.rssi_dbm, rx_j)
+        self._trace_hop("rx", packet, dst, hop.cell, Outcome.DELIVERED._value_, hop.rssi_dbm, self._rx_j)
         if dst in self.inboxes:
             self.inboxes[dst].append((self.now, packet))
         dst_node = self.topology.nodes[dst]
@@ -723,8 +719,8 @@ class Engine:
         t = next_compliant_slot(self.tdma[cell], self.smac[cell], packet.origin, self.now)
         self.schedule(t, self.send, replace(packet, src=relay, dst=cluster, mac_exempt=True))
 
-    def _listeners_at(self, pos: tuple[float, float], transmitter: int | None) -> list[tuple[int, Node, float]]:
-        """The registered overhearing sensors but transmitter that hear pos at zero shadowing.
+    def _listeners_at(self, pos: tuple[float, float]) -> list[tuple[int, Node, float]]:
+        """The registered overhearing sensors that hear pos at zero shadowing.
 
         Each is (sensor, node, deterministic RSSI), ascending by id.
         """
@@ -739,7 +735,7 @@ class Engine:
         reach = max(10.0 ** min(exponent, 300.0), 1.0)
         listeners = []
         for sensor_id in self.topology.within(x, y, reach * (1.0 + 1e-9)):
-            if sensor_id == transmitter or sensor_id not in self.overheard:
+            if sensor_id not in self.overheard:
                 continue
             node = self.topology.node(sensor_id)
             det = radio.deterministic_rssi(math.hypot(x - node.x, y - node.y))
@@ -750,26 +746,23 @@ class Engine:
     def _overhear(self, hop: _PendingTx) -> None:
         """Flat-baseline promiscuous listening on data-plane transmissions.
 
-        A transmitter's listeners (_listeners_at, candidates from
-        Topology.within) are found on its first data send and kept; a
-        phantom's are found on every send.  Each send skips its destination
-        and runs the jammer SINR test per listener.
+        A transmit position's listeners (_listeners_at, candidates from
+        Topology.within) are found on the first data send from it and kept,
+        for metered and phantom sends alike.  Each send skips its transmitter
+        and its destination and runs the jammer SINR test per listener.
         """
         if not self.overheard:
             return
         packet = hop.packet
         if packet.kind not in DATA_KINDS:
             return
-        if hop.transmitter is None:
-            listeners = self._listeners_at(hop.tx_pos, None)
-        else:
-            listeners = self._listeners.get(hop.transmitter)
-            if listeners is None:
-                listeners = self._listeners[hop.transmitter] = self._listeners_at(hop.tx_pos, hop.transmitter)
+        listeners = self._listeners.get(hop.tx_pos)
+        if listeners is None:
+            listeners = self._listeners[hop.tx_pos] = self._listeners_at(hop.tx_pos)
         radio = self.config.radio
-        rx_j = self.config.energy.rx_energy_j(packet.size_bits)
+        rx_j = self._rx_j
         for sensor_id, node, det in listeners:
-            if sensor_id == packet.dst:
+            if sensor_id == packet.dst or sensor_id == hop.transmitter:
                 continue
             interference = self.interference_dbm_at(node.x, node.y, hop.start_us, hop.end_us)
             if det - interference < radio.sinr_threshold_db:
@@ -877,9 +870,7 @@ class Engine:
     def _send_report(self, report: tuple[SimTime, int, int, int, int]) -> None:
         _t, _seq, packet_id, sensor, dst = report
         self._schedule_next_report()
-        self.send(
-            Packet(packet_id, PacketKind.SENSOR_DATA, sensor, sensor, dst, self.config.energy.packet_size_bits)
-        )
+        self.send(Packet(packet_id, PacketKind.SENSOR_DATA, sensor, sensor, dst))
 
     def run(self) -> RunLog:
         """Execute the scenario to its horizon and return the completed log.

@@ -173,15 +173,14 @@ class TestConnectivityGraph:
 
 
 class TestCheckRoute:
-    def packet(self, origin, dst, path):
+    def packet(self, origin, dst, src=None):
+        """A data packet from origin to dst, sent on its last hop by src (a relay) or by origin."""
         return Packet(
             packet_id=1,
             kind=PacketKind.SENSOR_DATA,
-            src=path[-2] if len(path) > 1 else origin,
+            src=origin if src is None else src,
             origin=origin,
             dst=dst,
-            size_bits=512,
-            path_so_far=list(path),
         )
 
     def test_direct_hop_compliant(self):
@@ -189,28 +188,25 @@ class TestCheckRoute:
         graph = ConnectivityGraph(topo, 75.0)
         s = topo.sensors_of(CELL)[0]
         c = topo.cluster_of(CELL)
-        # the second path was overheard but never delivered: dst completes it
-        for path in ([c], []):
-            violated, ev = check_route(graph, self.packet(s, c, path))
-            assert not violated
-            assert ev["observed_path"] == ev["expected_path"] == [s, c]
+        violated, ev = check_route(graph, self.packet(s, c))
+        assert not violated
+        assert ev["observed_path"] == ev["expected_path"] == [s, c]
 
     def test_detour_flagged(self):
         topo = make_engine(sensors_per_cell=2).topology
         graph = ConnectivityGraph(topo, 75.0)
         s0, s1 = topo.sensors_of(CELL)
         c = topo.cluster_of(CELL)
-        for path in ([s1, c], [s1]):  # delivered, and overheard but undelivered
-            violated, ev = check_route(graph, self.packet(s0, c, path))
-            assert violated
-            assert ev["observed_path"] == [s0, s1, c]
-            assert ev["expected_path"] == [s0, c]
+        violated, ev = check_route(graph, self.packet(s0, c, src=s1))
+        assert violated
+        assert ev["observed_path"] == [s0, s1, c]
+        assert ev["expected_path"] == [s0, c]
 
     def test_unroutable_pair_is_not_a_violation(self):
         topo = make_engine(sensors_per_cell=2).topology
         graph = ConnectivityGraph(topo, 75.0)
         s = topo.sensors_of(CELL)[0]
-        violated, ev = check_route(graph, self.packet(s, topo.base_id, [topo.base_id]))
+        violated, ev = check_route(graph, self.packet(s, topo.base_id))
         assert not violated
         assert ev == {"error": "NoRoute"}
 
@@ -227,15 +223,13 @@ class TestClusterPipeline:
         self.sensors = self.topo.sensors_of(CELL)
         self.detector = self.cluster
 
-    def inbox_entry(self, origin, t_tx, path=None, pid=0):
+    def inbox_entry(self, origin, t_tx, relay=None, pid=0):
         packet = Packet(
             packet_id=pid,
             kind=PacketKind.SENSOR_DATA,
-            src=origin,
+            src=origin if relay is None else relay,
             origin=origin,
             dst=self.cluster,
-            size_bits=512,
-            path_so_far=path if path is not None else [self.cluster],
         )
         return (t_tx + 2000, packet)
 
@@ -284,7 +278,7 @@ class TestClusterPipeline:
 
     def test_route_deviation(self):
         s0, s1 = self.sensors[0], self.sensors[1]
-        entry = self.inbox_entry(s0, 2_000, path=[s1, self.cluster])
+        entry = self.inbox_entry(s0, 2_000, relay=s1)
         alerts, _ = self.run_pipeline([entry])
         assert [a.rule for a in alerts] == [AlertRule.ROUTE_DEVIATION]
         assert alerts[0].evidence["expected_path"] == [s0, self.cluster]
@@ -297,7 +291,6 @@ class TestClusterPipeline:
             src=self.cluster,
             origin=self.cluster,
             dst=self.cluster,
-            size_bits=512,
         )
         # a detour's first hop is data, but addressed to the relay sensor
         s0, s1 = self.sensors[0], self.sensors[1]
@@ -307,7 +300,6 @@ class TestClusterPipeline:
             src=s0,
             origin=s0,
             dst=s1,
-            size_bits=512,
         )
         for packet in (hb, first_hop):
             alerts, evals = self.run_pipeline([(2_000, packet)])

@@ -4,6 +4,7 @@ Expected numbers are either closed-form (computed inline from first
 principles with raw math, not the module under test) or statistical bounds.
 """
 
+import dataclasses
 import gc
 import heapq
 import math
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import assert_energy_ledger_consistent, make_engine, serialize_log
+from hodsim.attacks import AttackKind, AttackSpec, apply_attacks
 from hodsim.config import ScenarioConfig
 from hodsim.detection import FlatMonitors, HodMonitors
 from hodsim.metrics import run_scenario
@@ -31,7 +33,7 @@ from hodsim.simcore import (
     WorkloadConfig,
     power_sum_dbm,
 )
-from hodsim.topology import HexCoord, NodeRole, build_topology
+from hodsim.topology import HexCoord, NodeRole, axial_to_xy, build_topology
 
 
 def db_to_mw(db):
@@ -148,7 +150,6 @@ def data_packet(engine, src, dst, control=False, mac_exempt=True, long_range=Fal
         src=src,
         origin=src,
         dst=dst,
-        size_bits=512,
         control=control,
         mac_exempt=mac_exempt,
         long_range=long_range,
@@ -317,7 +318,6 @@ class TestEngineMechanics:
             src=victim,
             origin=victim,
             dst=cluster,
-            size_bits=512,
             phantom_pos=(cx + 5.0, cy),
         )
         eng.schedule(0, eng.send, pkt)
@@ -451,21 +451,19 @@ class TestDeterminism:
 
 
 class TestOverhearListeners:
-    """The per-transmitter listener lists are exactly what a scan of every sensor finds."""
+    """The per-position listener lists are exactly what a scan of every sensor finds."""
 
-    def full_scan(self, eng, pos, transmitter):
+    def full_scan(self, eng, pos):
         radio = eng.config.radio
         found = []
         for sensor in eng.overheard:
-            if sensor == transmitter:
-                continue
             node = eng.topology.node(sensor)
             det = radio.deterministic_rssi(math.hypot(pos[0] - node.x, pos[1] - node.y))
             if det >= radio.rx_sensitivity_dbm:
                 found.append((sensor, node, det))
         return found
 
-    def flat_engine(self, tx_power_dbm, mode="flat", horizon_windows=2):
+    def flat_engine(self, tx_power_dbm, mode="flat", horizon_windows=2, attacks=()):
         eng = make_engine(
             rings=1,
             sensors_per_cell=3,
@@ -473,6 +471,7 @@ class TestOverhearListeners:
             radio=RadioModel(tx_power_dbm=tx_power_dbm),
             workload=WorkloadConfig(),
             horizon_windows=horizon_windows,
+            attacks=attacks,
         )
         (FlatMonitors if mode == "flat" else HodMonitors)(eng)
         return eng
@@ -482,12 +481,13 @@ class TestOverhearListeners:
         eng = self.flat_engine(tx_power_dbm)
         eng.run()
         sensors = eng.topology.sensor_ids()
-        assert sorted(eng._listeners) == sensors  # every sensor sent data
-        for sensor, listeners in eng._listeners.items():
-            assert listeners == self.full_scan(eng, eng.topology.position(sensor), sensor)
+        # every sensor sent data, and no two share a position
+        assert sorted(eng._listeners) == sorted(eng.topology.position(s) for s in sensors)
+        for pos, listeners in eng._listeners.items():
+            assert listeners == self.full_scan(eng, pos)
         if tx_power_dbm == 30.0:
-            # at 30 dBm every sensor hears every other one
-            assert all(len(v) == len(sensors) - 1 for v in eng._listeners.values())
+            # at 30 dBm every sensor hears every position, its own included
+            assert all(len(v) == len(sensors) for v in eng._listeners.values())
 
     @pytest.mark.parametrize("tx_power_dbm", [0.0, 30.0])
     def test_phantom_positions_get_the_full_scan(self, tx_power_dbm):
@@ -496,7 +496,7 @@ class TestOverhearListeners:
         points = [eng.topology.position(n) for n in range(len(eng.topology.nodes))]
         points += [(rng.uniform(-400, 400), rng.uniform(-400, 400)) for _ in range(50)]
         for pos in points:
-            assert eng._listeners_at(pos, None) == self.full_scan(eng, pos, None)
+            assert eng._listeners_at(pos) == self.full_scan(eng, pos)
 
     def test_listeners_scanned_once_per_transmitter_and_sensor(self, monkeypatch):
         eng = self.flat_engine(0.0, horizon_windows=5)
@@ -521,13 +521,51 @@ class TestOverhearListeners:
         monkeypatch.setattr(Engine, "_overhear", flagged_overhear)
         log = eng.run()
         # no jammer, so every call made while overhearing is a listener scan;
-        # a pair's distance is scanned once each way (a -> b and b -> a)
+        # a pair's distance is scanned once each way (a -> b and b -> a), and
+        # each sensor's distance to its own position once
         assert not eng.interference
-        assert scanned and max(scanned.values()) <= 2
+        assert scanned[0.0] == len(eng.overheard)
+        assert max(n for d, n in scanned.items() if d) <= 2
         assert sum(scanned.values()) <= len(eng._listeners) * len(eng.overheard)
         # every sensor sent often enough that a scan per send would repeat a distance
         sends = Counter(e.src for e in log.events if e.event_kind == "tx" and e.pkt_kind == "SensorData")
         assert min(sends[s] for s in eng.overheard) >= 3
+
+    def forger(self, **position):
+        """A SlotSpoof of four forgeries at cell (0, 0)'s first sensor over the first window."""
+        return AttackSpec(
+            kind=AttackKind.SLOT_SPOOF, start_us=0, end_us=1_000_000, cell=HexCoord(0, 0), packet_count=4, **position
+        )
+
+    def test_phantom_listeners_found_once_per_position(self, monkeypatch):
+        eng = self.flat_engine(0.0, attacks=[self.forger()])
+        apply_attacks(eng)
+        looked_up = Counter()
+        listeners_at = Engine._listeners_at
+
+        def counting_listeners_at(self, pos, *args):
+            looked_up[pos] += 1
+            return listeners_at(self, pos, *args)
+
+        monkeypatch.setattr(Engine, "_listeners_at", counting_listeners_at)
+        log = eng.run()
+        phantom = axial_to_xy(HexCoord(0, 0), eng.topology.cell_radius_m)
+        assert sum(e.event_kind == "tx" and e.pkt_kind == "AttackTraffic" for e in log.events) == 4
+        assert set(looked_up) == {phantom, *(eng.topology.position(s) for s in eng.overheard)}
+        assert set(looked_up.values()) == {1}
+
+    def test_phantom_on_a_sensor_is_overheard_by_it(self):
+        topo = self.flat_engine(0.0).topology
+        sensor = topo.sensors_of(HexCoord(0, 0))[1]  # the victim is sensor 0
+        eng = self.flat_engine(0.0, attacks=[self.forger(position=topo.position(sensor))])
+        apply_attacks(eng)
+        log = eng.run()
+        assert eng._listeners[topo.position(sensor)] == self.full_scan(eng, topo.position(sensor))
+        forged = {e.packet_id for e in log.events if e.event_kind == "tx" and e.pkt_kind == "AttackTraffic"}
+        heard = {e.packet_id for e in log.events if e.outcome == "Overheard" and e.dst == sensor}
+        assert len(forged) == 4 and forged <= heard
+        # a sensor never overhears its own sends, though its position's list holds it
+        assert all(e.src != e.dst for e in log.events if e.outcome == "Overheard" and e.packet_id not in forged)
 
     def test_hod_engine_builds_no_listener_cache(self):
         eng = self.flat_engine(0.0, mode="hod")
@@ -537,6 +575,23 @@ class TestOverhearListeners:
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cfg"
+
+
+def test_sending_never_changes_a_packet(monkeypatch):
+    """Every packet sent, a detour relay's onward copy included, leaves its header as it was sent."""
+    sent = []
+    send = Engine.send
+
+    def recording_send(self, packet):
+        sent.append((packet, dataclasses.astuple(packet)))
+        return send(self, packet)
+
+    monkeypatch.setattr(Engine, "send", recording_send)
+    run_scenario(ScenarioConfig.from_file(str(EXAMPLES / "route_deviation.yaml")), "hod", 1)
+    relayed = [p for p, _ in sent if p.kind is PacketKind.SENSOR_DATA and p.src != p.origin]
+    assert relayed
+    changed = [p.packet_id for p, header in sent if dataclasses.astuple(p) != header]
+    assert changed == []
 
 
 class TestRunMemory:
