@@ -211,6 +211,12 @@ class ScenarioConfig:
                 f"'mac.frame_length' ({frame_length}) must be >= 'topology.sensors_per_cell' "
                 f"({self.topology.sensors_per_cell}): every sensor needs a slot"
             )
+        latency, window = self.radio.per_hop_latency_us, self.sim.aggregation_window_us
+        if not latency < window:
+            raise ConfigError(
+                f"'radio.per_hop_latency_us' ({latency}) must be < 'sim.aggregation_window_us' ({window}): "
+                "the overlay reads a hop sent at a window's end in the next window"
+            )
         # a tuple, so that no attack joins after check_attacks_fit has run
         object.__setattr__(self, "attacks", tuple(self.attacks))
         radio = self.radio

@@ -11,9 +11,11 @@ jamming vote over what reached them.  Regional nodes watch their
 member clusters (liveness and alert suppression) and forward everything
 upward; the base station watches the regionals and keeps the authoritative
 alert ledger.  Alerts ripple up one hop per aggregation window: cluster ->
-regional rides the normal short-range channel (lost alerts are retransmitted
-next window and deduplicated at the receiver), regional -> base uses the
-reliable long-range channel.  An alarm carries the Alert itself; each node
+regional rides the normal short-range channel, regional -> base uses the
+reliable long-range channel.  A cluster registers each alarm it sends with
+Engine.track_delivery and, at its next window step, drops the alarm from its
+outbox if the engine recorded the delivery and retransmits it otherwise; the
+receiver deduplicates.  An alarm carries the Alert itself; each node
 that receives one keeps its own copy with itself appended to the hop trail,
 so an alert is never changed once logged.  The periodic data reports (cluster
 report, regional summary) are overlay traffic too: HodMonitors sends them at
@@ -451,7 +453,7 @@ def _send(
     src: int,
     dst: int,
     kind: PacketKind,
-    payload: dict,
+    payload: dict | None = None,
     *,
     control: bool = True,
     long_range: bool = False,
@@ -491,16 +493,15 @@ class HodMonitors:
         self.last_seen: dict[int, int] = {
             n.node_id: -1 for n in topo.nodes if n.role is not NodeRole.BASE
         }
-        self.child_report_log: dict[int, dict[int, int]] = {
-            topo.cluster_of(c): {} for c in topo.cells
-        }  # cluster -> {window: alert_count reported}
         # relaying node -> dedup keys of the alerts it has already taken in
         self.seen_keys: dict[int, set[tuple]] = {
             n: set() for n in [*topo.regional_by_region.values(), topo.base_id]
         }
         self.reported_alert_counts: dict[int, int] = {}  # cluster -> this window's report
-        # window -> {cell: jamming vote}, for this window and the lookback before it
+        # window -> {cell: jamming vote} and window -> {cluster: alert count it
+        # reported about that window}, each for this window and the lookback before it
         self.votes: dict[int, dict[HexCoord, tuple[bool, dict[str, Any]]]] = {}
+        self.child_reports: dict[int, dict[int, int]] = {}
         engine.inboxes = {m: [] for m in topo.monitor_ids()}
         engine.monitors = self
 
@@ -509,7 +510,10 @@ class HodMonitors:
     def on_window_end(self, engine: Engine, window: int) -> None:
         topo = engine.topology
         self.votes[window] = jamming_votes(engine.log.window_stats[window], self.thresholds)
-        self.votes.pop(window - self.thresholds.heartbeat_timeout_windows - 1, None)
+        self.child_reports[window] = {}
+        expired = window - self.thresholds.heartbeat_timeout_windows - 1
+        self.votes.pop(expired, None)
+        self.child_reports.pop(expired, None)
         self.reported_alert_counts = {}
         for cell in topo.cells:
             self._cluster_step(topo.cluster_of(cell), cell, window)
@@ -568,9 +572,10 @@ class HodMonitors:
             entry.last_packet_id = _send(
                 eng, cluster, regional, PacketKind.REGIONAL_ALARM, {"alert": entry.alert}
             )
+            eng.track_delivery(entry.last_packet_id)
             remaining.append(entry)
         self.cluster_outbox[cluster] = remaining
-        _send(eng, cluster, regional, PacketKind.HEARTBEAT, {"window": window})
+        _send(eng, cluster, regional, PacketKind.HEARTBEAT)
 
     # --------------------------------------------------------------- regional
 
@@ -591,7 +596,7 @@ class HodMonitors:
                 if packet.kind in (PacketKind.CLUSTER_REPORT, PacketKind.HEARTBEAT):
                     self.last_seen[src] = window
                 if packet.kind is PacketKind.CLUSTER_REPORT:
-                    self.child_report_log[src][packet.payload["window"]] = packet.payload["alert_count"]
+                    self.child_reports[packet.payload["window"]][src] = packet.payload["alert_count"]
                 if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
                     alert = packet.payload["alert"]
                     if self._first_sight(regional, alert):
@@ -603,12 +608,13 @@ class HodMonitors:
             cell = topo.node(child).cell
             # Lookback pairs each completed window's jamming vote on the child's
             # cell with the child's report about that same window; the report
-            # for window w only arrives during w+1, so the current window is
-            # excluded.  A missing report is absence, not a zero claim.
+            # for window w only arrives during w+1 (a scenario's hop latency is
+            # below its window), so the current window is excluded.  A missing
+            # report is absence, not a zero claim.
             evidence = []
             for w in range(max(0, window - self.thresholds.heartbeat_timeout_windows), window):
                 anomalous, vote_ev = self.votes[w][cell]
-                reported = self.child_report_log[child].get(w)
+                reported = self.child_reports[w].get(child)
                 evidence.append(
                     {
                         "window": w,
@@ -640,8 +646,8 @@ class HodMonitors:
         base = topo.base_id
         for alert in incoming + own:
             _send(eng, regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert}, long_range=True)
-        _send(eng, regional, base, PacketKind.REGIONAL_ALARM, {"window": window}, long_range=True)
-        _send(eng, regional, base, PacketKind.HEARTBEAT, {"window": window}, long_range=True)
+        _send(eng, regional, base, PacketKind.REGIONAL_ALARM, long_range=True)
+        _send(eng, regional, base, PacketKind.HEARTBEAT, long_range=True)
 
     # ------------------------------------------------------------------- base
 
@@ -691,15 +697,8 @@ class HodMonitors:
             payload = {"window": window, "alert_count": self.reported_alert_counts.get(cluster, 0)}
             _send(eng, cluster, topo.regional_of_cell(cell), PacketKind.CLUSTER_REPORT, payload, control=False)
         for rid in sorted(topo.regional_by_region):
-            _send(
-                eng,
-                topo.regional_by_region[rid],
-                topo.base_id,
-                PacketKind.REGIONAL_ALARM,
-                {"window": window},
-                control=False,
-                long_range=True,
-            )
+            regional = topo.regional_by_region[rid]
+            _send(eng, regional, topo.base_id, PacketKind.REGIONAL_ALARM, control=False, long_range=True)
 
 
 class FlatMonitors:

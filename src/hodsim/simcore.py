@@ -18,6 +18,13 @@ and overlay inboxes, or promiscuous overhearing lists) and sends its own
 protocol traffic through Engine.send; the engine only fills the registered
 buffers with (time, packet) entries and clears them after each window.
 
+Deliveries: RunLog.delivered_to records the last receiver of only the packet
+ids a reader registered with Engine.track_delivery.  The engine registers
+every ground-truth packet id once the workload is planned (scoring asks which
+of them reached a cluster), and the overlay registers each cluster alarm it
+sends (its outbox drops an alarm once it was delivered); no other delivery is
+kept.
+
 Windows: at each aggregation-window boundary the engine closes the window's
 per-cell channel statistics (data sends, deliveries, PDR, mean idle RSSI at
 the cluster node, mean carrier-sense time) into RunLog.window_stats, indexed
@@ -288,7 +295,7 @@ class RunLog:
     window_stats: list[dict[HexCoord, ChannelWindowStats]] = field(default_factory=list)  # [window][cell]
     meters: dict[int, EnergyMeter] = field(default_factory=dict)
     counters: dict[int, MessageCounters] = field(default_factory=dict)
-    delivered_to: dict[int, int] = field(default_factory=dict)  # packet id -> last receiver
+    delivered_to: dict[int, int] = field(default_factory=dict)  # tracked packet id -> last receiver
 
 
 # ============================================================================
@@ -444,6 +451,8 @@ class Engine:
         # receive buffers, registered by the attached monitor
         self.inboxes: dict[int, list[tuple[SimTime, Packet]]] = {}
         self.overheard: dict[int, list[tuple[SimTime, Packet]]] = {}
+        # packet ids whose deliveries RunLog.delivered_to records (track_delivery)
+        self._tracked: set[int] = set()
         # transmit position -> its overhearing sensors, filled on its first data send
         self._listeners: dict[tuple[float, float], list[tuple[int, Node, float]]] = {}
         # every hop is packet_size_bits long, so every reception costs the same
@@ -474,6 +483,10 @@ class Engine:
             self.next_packet_id(), kind, src, src, dst,
             {} if payload is None else payload, control, long_range, mac_exempt, phantom_pos,
         )
+
+    def track_delivery(self, packet_id: int) -> None:
+        """Record the deliveries of packet_id in RunLog.delivered_to from now on."""
+        self._tracked.add(packet_id)
 
     def schedule(self, t: SimTime, handler: Callable[[Any], object], arg: Any) -> None:
         """Call handler(arg) at time t; equal times fire in schedule order."""
@@ -579,8 +592,8 @@ class Engine:
 
     # ------------------------------------------------------------------- send
 
-    def send(self, packet: Packet) -> bool:
-        """Transmit a packet at the current time.  Returns False if suppressed.
+    def send(self, packet: Packet) -> None:
+        """Transmit a packet at the current time.
 
         Silent-compromised nodes transmit nothing.  The sender pays transmit
         energy whether or not the packet will be delivered; delivery resolves
@@ -593,7 +606,7 @@ class Engine:
             transmitter: int | None = packet.src
             src_node = nodes[packet.src]
             if active_at(self.compromise, packet.src, self.now) is CompromiseMode.SILENT:
-                return False
+                return
             if src_node.role is NodeRole.SENSOR and not packet.mac_exempt:
                 # compliant sensors only transmit inside their wake window
                 if not is_awake(self.smac[src_node.cell], self.now):
@@ -652,7 +665,6 @@ class Engine:
             self.schedule(t_arrive, self._deliver, hop)
         else:
             self.schedule(t_arrive, self._resolve, hop)
-        return True
 
     def _record_carrier_sense(self, cell: HexCoord, pos: tuple[float, float]) -> None:
         radio = self.config.radio
@@ -703,7 +715,8 @@ class Engine:
         self.log.meters[dst].rx_j += self._rx_j
         if hop.counted:
             self._cell_delivered[hop.cell] += 1
-        self.log.delivered_to[packet.packet_id] = dst
+        if packet.packet_id in self._tracked:
+            self.log.delivered_to[packet.packet_id] = dst
         self._trace_hop("rx", packet, dst, hop.cell, Outcome.DELIVERED._value_, hop.rssi_dbm, self._rx_j)
         if dst in self.inboxes:
             self.inboxes[dst].append((self.now, packet))
@@ -885,6 +898,7 @@ class Engine:
         for window in range(sim.horizon_windows):
             self.schedule((window + 1) * sim.aggregation_window_us, self._window_boundary, window)
         self._plan_workload()
+        self._tracked.update(gt.packet_id for gt in self.log.ground_truth if gt.packet_id is not None)
         t_end = self.log.horizon_us + sim.drain_us
         heap = self._heap
         while heap and heap[0][0] <= t_end:

@@ -154,6 +154,11 @@ class TestExitCodes:
             ('sensors_enabled: "no"', "'workload.sensors_enabled' must be true or false"),
             # used to fail inside the run with "cannot schedule event at -5" (exit 3)
             ("sensors_enabled: false\nradio:\n  per_hop_latency_us: -5", "per_hop_latency_us must be > 0"),
+            # a hop that lands past the next window used to give silently wrong overlay answers
+            (
+                "sensors_enabled: false\nradio:\n  per_hop_latency_us: 1000000",
+                "'radio.per_hop_latency_us' (1000000) must be < 'sim.aggregation_window_us' (1000000)",
+            ),
             # a regional -> base uplink on the short-range budget at 0 dBm never delivers
             (
                 "sensors_enabled: false\nradio:\n  long_range_reliable: false",

@@ -9,7 +9,7 @@ import yaml
 
 from hodsim.attacks import AttackKind, AttackSpec, TargetRole
 from hodsim.cli import main
-from hodsim.config import ConfigError, ScenarioConfig, TopologyConfig
+from hodsim.config import ConfigError, ScenarioConfig, SimSection, TopologyConfig
 from hodsim.simcore import CompromiseMode, MacConfig, RadioModel
 from hodsim.topology import HexCoord
 
@@ -239,6 +239,15 @@ class TestStrictParsing:
         sc = ScenarioConfig.from_dict({"topology": {"sensors_per_cell": 3}, "mac": {"frame_length": 3}})
         assert sc.mac.frame_length == 3
 
+    def test_hop_latency_must_be_below_the_window(self):
+        # the outbox ack, the alert ripple and the regional lookback read a hop
+        # sent at a window's end in the next window
+        message = "'radio.per_hop_latency_us' (1000000) must be < 'sim.aggregation_window_us' (1000000)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig.from_dict({"radio": {"per_hop_latency_us": 1_000_000}})
+        sc = ScenarioConfig.from_dict({"radio": {"per_hop_latency_us": 999_999}})
+        assert sc.radio.per_hop_latency_us == 999_999
+
     def test_float_fields_take_ints_and_optional_fields_take_null(self):
         sc = ScenarioConfig.from_dict(
             {"topology": {"cell_radius_m": 50}, "mac": {"frame_length": None}}
@@ -312,6 +321,11 @@ class TestBuiltInCode:
                 {"mac": MacConfig(frame_length=1)},
                 "'mac.frame_length' (1) must be >= 'topology.sensors_per_cell' (6)",
                 id="frame-length",
+            ),
+            pytest.param(
+                {"radio": RadioModel(per_hop_latency_us=50_000), "sim": SimSection(aggregation_window_us=40_000)},
+                "'radio.per_hop_latency_us' (50000) must be < 'sim.aggregation_window_us' (40000)",
+                id="latency-past-window",
             ),
             pytest.param({"seed": -3}, "'seed' must be an integer >= 0, got -3", id="seed"),
             pytest.param(

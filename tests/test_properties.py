@@ -89,6 +89,19 @@ def test_random_scenarios_keep_the_invariants(scenario):
         assert_energy_ledger_consistent(log)
         assert_trace_replays(log)
         score(log, topo, scenario.thresholds)  # raises if the control ledgers disagree
+        # delivered_to keeps the last receiver of exactly the packets a reader
+        # registered: the ground-truth packets and the cluster alarms
+        tracked = {g.packet_id for g in log.ground_truth if g.packet_id is not None}
+        tracked.update(
+            e.packet_id
+            for e in log.events
+            if e.event_kind == "tx" and e.pkt_kind == "RegionalAlarm" and topo.role(e.src) is NodeRole.CLUSTER
+        )
+        assert log.delivered_to == {
+            e.packet_id: e.dst
+            for e in log.events
+            if e.event_kind == "rx" and e.outcome == "Delivered" and e.packet_id in tracked
+        }
         if mode != "hod":
             continue
         assert all(topo.role(a.detected_by) is not NodeRole.SENSOR for a in log.alerts)

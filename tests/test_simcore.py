@@ -182,6 +182,19 @@ class TestDeliveryOutcomes:
         d = max(eng.topology.distance(sensor, cluster), 1.0)
         assert rx[0].rssi_dbm == pytest.approx(-40.0 - 24.0 * math.log10(d), abs=1e-9)
 
+    def test_only_tracked_deliveries_are_recorded(self):
+        eng = make_engine()
+        cell = sorted(eng.topology.cells)[0]
+        s1, s2 = eng.topology.sensors_of(cell)
+        cluster = eng.topology.cluster_of(cell)
+        tracked, untracked = data_packet(eng, s1, cluster), data_packet(eng, s2, cluster)
+        eng.track_delivery(tracked.packet_id)
+        eng.schedule(1000, eng.send, tracked)
+        eng.schedule(5000, eng.send, untracked)
+        drain(eng)
+        assert self.outcomes(eng.log) == [("rx", tracked.packet_id), ("rx", untracked.packet_id)]
+        assert eng.log.delivered_to == {tracked.packet_id: cluster}
+
     def test_out_of_range_drop(self):
         eng = make_engine(rings=2)
         topo = eng.topology
@@ -320,11 +333,12 @@ class TestEngineMechanics:
             dst=cluster,
             phantom_pos=(cx + 5.0, cy),
         )
+        eng.track_delivery(pkt.packet_id)
         eng.schedule(0, eng.send, pkt)
         eng.run()
         assert eng.log.counters[victim].total_sent() == 0  # the victim sent nothing
         assert eng.log.meters[victim].tx_j == 0.0
-        assert eng.log.delivered_to[pkt.packet_id] == cluster
+        assert eng.log.delivered_to == {pkt.packet_id: cluster}
         # traced in the victim's cell, but not counted toward its channel statistics
         rows = [e for e in eng.log.events if e.packet_id == pkt.packet_id]
         assert [e.event_kind for e in rows] == ["tx", "rx"]
