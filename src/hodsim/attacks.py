@@ -91,6 +91,11 @@ class AttackSpec:
             except ValueError:
                 allowed = ", ".join(repr(m.value) for m in cls)
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}") from None
+        # a plain (q, r) tuple stands for the HexCoord it equals, which the echo writes as {q, r}
+        if isinstance(self.cell, tuple) and not isinstance(self.cell, HexCoord):
+            if len(self.cell) != 2:
+                raise ValueError(f"cell must be a (q, r) pair, got {self.cell!r}")
+            object.__setattr__(self, "cell", HexCoord(*self.cell))
         # a field the kind never reads would be ignored in silence; its default is what the echo writes
         read = fields_read(self)
         for f in fields(self):

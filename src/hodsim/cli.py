@@ -4,14 +4,14 @@ Runs a scenario file in hierarchical mode, flat-baseline mode, or both
 (compare), over one seed or a seed range, and writes traces, summaries,
 metrics, and the comparison table under the output directory.
 
-Exit codes: 0 on success, 2 for bad usage (an --out path that is, or lies
-under, an existing file among it, found before any run) or an invalid scenario
-file, 3 for any other failure during simulation or output writing.  Each attack's fit to
-the grid, schedules and horizon is checked when the file is parsed; only a
-forgery interval with no admissible emission time (AttackSpecError) and a mac
-schedule that leaves a sensor no fully awake slot (the message names the mac
-keys that set it) are found while a run is set up.  Files already written by a
-failed invocation are removed.
+Exit codes: 0 on success, 2 for bad usage (an --out path that is an existing
+file or lies under one, found before any run and with nothing written) or an
+invalid scenario file, 3 for any other failure during simulation or output
+writing.  Each attack's fit to the grid, schedules and horizon is checked when
+the file is parsed; only a forgery interval with no admissible emission time
+(AttackSpecError) and a mac schedule that leaves a sensor no fully awake slot
+(the message names the mac keys that set it) are found while a run is set up.
+Files already written by a failed invocation are removed.
 """
 
 from __future__ import annotations

@@ -12,14 +12,17 @@ member clusters (liveness and alert suppression) and forward everything
 upward; the base station watches the regionals and keeps the authoritative
 alert ledger.  Alerts ripple up one hop per aggregation window: cluster ->
 regional rides the normal short-range channel, regional -> base uses the
-reliable long-range channel.  A cluster registers each alarm it sends with
-Engine.track_delivery and, at its next window step, drops the alarm from its
-outbox if the engine recorded the delivery and retransmits it otherwise; the
-receiver deduplicates.  An alarm carries the Alert itself; each node
-that receives one keeps its own copy with itself appended to the hop trail,
-so an alert is never changed once logged.  The periodic data reports (cluster
-report, regional summary) are overlay traffic too: HodMonitors sends them at
-the end of every window, after the alarm and heartbeat traffic.
+reliable long-range channel.  A cluster keeps each alarm it sends in its
+outbox until the alarm shows up in its regional's inbox: a hop is shorter than
+a window, so an alarm sent at one window step is in that inbox at the next
+step if and only if it was delivered, and the cluster then drops it; it
+retransmits any other.  So no alarm reaches a node twice, and the regional
+relays, and the base records, every alarm it receives.  An alarm carries the
+Alert itself; each node that receives one keeps its own copy with itself
+appended to the hop trail, so an alert is never changed once logged.  The
+periodic data reports (cluster report, regional summary) are overlay traffic
+too: HodMonitors sends them at the end of every window, after the alarm and
+heartbeat traffic.
 
 The layer tag on an alert names the protocol layer whose rule fired:
 phy (jamming), link (slot / sleep / foreign origin), net (route deviation),
@@ -493,10 +496,6 @@ class HodMonitors:
         self.last_seen: dict[int, int] = {
             n.node_id: -1 for n in topo.nodes if n.role is not NodeRole.BASE
         }
-        # relaying node -> dedup keys of the alerts it has already taken in
-        self.seen_keys: dict[int, set[tuple]] = {
-            n: set() for n in [*topo.regional_by_region.values(), topo.base_id]
-        }
         self.reported_alert_counts: dict[int, int] = {}  # cluster -> this window's report
         # window -> {cell: jamming vote} and window -> {cluster: alert count it
         # reported about that window}, each for this window and the lookback before it
@@ -530,6 +529,15 @@ class HodMonitors:
 
     def _cluster_step(self, cluster: int, cell: HexCoord, window: int) -> None:
         eng = self.engine
+        regional = eng.topology.regional_of_cell(cell)
+        outbox = self.cluster_outbox[cluster]
+        if outbox:
+            # the ack: an alarm sent at the last step resolved within this window
+            # (a hop is shorter than a window), so it is in the regional's inbox
+            # if and only if it was delivered; taken even while Silent, so that
+            # a cluster that recovers resends only what was lost
+            delivered = {packet.packet_id for _t, packet in eng.inboxes[regional]}
+            outbox[:] = [e for e in outbox if e.last_packet_id not in delivered]
         mode = active_at(eng.compromise, cluster, eng.now)
         if mode is CompromiseMode.SILENT:
             return
@@ -559,22 +567,16 @@ class HodMonitors:
         for a in alerts:
             self._log_alert(a)
         if mode is CompromiseMode.FALSE_DATA:
-            self.reported_alert_counts[cluster] = 0  # the lie: report zero, forward nothing
+            # the lie: report zero, forward nothing, not even alarms queued before
+            self.reported_alert_counts[cluster] = 0
+            outbox.clear()
         else:
             self.reported_alert_counts[cluster] = len(alerts)
-            self.cluster_outbox[cluster].extend(_OutboxEntry(a) for a in alerts)
-
-        regional = eng.topology.regional_of_cell(cell)
-        remaining: list[_OutboxEntry] = []
-        for entry in self.cluster_outbox[cluster]:
-            if entry.last_packet_id is not None and entry.last_packet_id in eng.log.delivered_to:
-                continue  # acknowledged by delivery; drop from the outbox
+            outbox.extend(_OutboxEntry(a) for a in alerts)
+        for entry in outbox:
             entry.last_packet_id = _send(
                 eng, cluster, regional, PacketKind.REGIONAL_ALARM, {"alert": entry.alert}
             )
-            eng.track_delivery(entry.last_packet_id)
-            remaining.append(entry)
-        self.cluster_outbox[cluster] = remaining
         _send(eng, cluster, regional, PacketKind.HEARTBEAT)
 
     # --------------------------------------------------------------- regional
@@ -598,9 +600,7 @@ class HodMonitors:
                 if packet.kind is PacketKind.CLUSTER_REPORT:
                     self.child_reports[packet.payload["window"]][src] = packet.payload["alert_count"]
                 if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
-                    alert = packet.payload["alert"]
-                    if self._first_sight(regional, alert):
-                        incoming.append(_relayed_copy(alert, regional))
+                    incoming.append(_relayed_copy(packet.payload["alert"], regional))
 
         own: list[Alert] = []
         evals = 0
@@ -661,7 +661,8 @@ class HodMonitors:
             if packet.src in regionals:
                 self.last_seen[packet.src] = window
             if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
-                self._base_record(_relayed_copy(packet.payload["alert"], base), t)
+                record = BaseAlertRecord(alert=_relayed_copy(packet.payload["alert"], base), base_arrival_us=t)
+                eng.log.base_received.append(record)
         evals = 0
         for regional in regionals:
             evals += 1
@@ -669,22 +670,8 @@ class HodMonitors:
                 topo, base, regional, window, eng.now, self.last_seen[regional], self.thresholds
             ):
                 self._log_alert(alert)
-                self._base_record(alert, eng.now)
+                eng.log.base_received.append(BaseAlertRecord(alert=alert, base_arrival_us=eng.now))
         eng.charge_rule_evals(base, evals)
-
-    def _base_record(self, alert: Alert, arrival: SimTime) -> None:
-        """Enter an alert into the base's ledger unless its dedup key is already there."""
-        if self._first_sight(self.engine.topology.base_id, alert):
-            self.engine.log.base_received.append(BaseAlertRecord(alert=alert, base_arrival_us=arrival))
-
-    def _first_sight(self, node: int, alert: Alert) -> bool:
-        """Note alert's dedup key at node; True if node had not taken it in before."""
-        seen = self.seen_keys[node]
-        key = alert.dedup_key()
-        if key in seen:
-            return False
-        seen.add(key)
-        return True
 
     # ----------------------------------------------------------- data reports
 

@@ -18,12 +18,10 @@ and overlay inboxes, or promiscuous overhearing lists) and sends its own
 protocol traffic through Engine.send; the engine only fills the registered
 buffers with (time, packet) entries and clears them after each window.
 
-Deliveries: RunLog.delivered_to records the last receiver of only the packet
-ids a reader registered with Engine.track_delivery.  The engine registers
-every ground-truth packet id once the workload is planned (scoring asks which
-of them reached a cluster), and the overlay registers each cluster alarm it
-sends (its outbox drops an alarm once it was delivered); no other delivery is
-kept.
+Deliveries: RunLog.delivered_to records the last receiver of the ground-truth
+packet ids alone, registered once the workload is planned (scoring asks which
+of them reached a cluster); no other delivery is kept.  A monitor that wants
+to know whether its own packet arrived reads the receiver's inbox.
 
 Windows: at each aggregation-window boundary the engine closes the window's
 per-cell channel statistics (data sends, deliveries, PDR, mean idle RSSI at
@@ -295,7 +293,7 @@ class RunLog:
     window_stats: list[dict[HexCoord, ChannelWindowStats]] = field(default_factory=list)  # [window][cell]
     meters: dict[int, EnergyMeter] = field(default_factory=dict)
     counters: dict[int, MessageCounters] = field(default_factory=dict)
-    delivered_to: dict[int, int] = field(default_factory=dict)  # tracked packet id -> last receiver
+    delivered_to: dict[int, int] = field(default_factory=dict)  # ground-truth packet id -> last receiver
 
 
 # ============================================================================
@@ -451,8 +449,8 @@ class Engine:
         # receive buffers, registered by the attached monitor
         self.inboxes: dict[int, list[tuple[SimTime, Packet]]] = {}
         self.overheard: dict[int, list[tuple[SimTime, Packet]]] = {}
-        # packet ids whose deliveries RunLog.delivered_to records (track_delivery)
-        self._tracked: set[int] = set()
+        # the ground-truth packet ids, whose deliveries RunLog.delivered_to records
+        self._truth_ids: set[int] = set()
         # transmit position -> its overhearing sensors, filled on its first data send
         self._listeners: dict[tuple[float, float], list[tuple[int, Node, float]]] = {}
         # every hop is packet_size_bits long, so every reception costs the same
@@ -483,10 +481,6 @@ class Engine:
             self.next_packet_id(), kind, src, src, dst,
             {} if payload is None else payload, control, long_range, mac_exempt, phantom_pos,
         )
-
-    def track_delivery(self, packet_id: int) -> None:
-        """Record the deliveries of packet_id in RunLog.delivered_to from now on."""
-        self._tracked.add(packet_id)
 
     def schedule(self, t: SimTime, handler: Callable[[Any], object], arg: Any) -> None:
         """Call handler(arg) at time t; equal times fire in schedule order."""
@@ -715,7 +709,7 @@ class Engine:
         self.log.meters[dst].rx_j += self._rx_j
         if hop.counted:
             self._cell_delivered[hop.cell] += 1
-        if packet.packet_id in self._tracked:
+        if packet.packet_id in self._truth_ids:
             self.log.delivered_to[packet.packet_id] = dst
         self._trace_hop("rx", packet, dst, hop.cell, Outcome.DELIVERED._value_, hop.rssi_dbm, self._rx_j)
         if dst in self.inboxes:
@@ -898,7 +892,7 @@ class Engine:
         for window in range(sim.horizon_windows):
             self.schedule((window + 1) * sim.aggregation_window_us, self._window_boundary, window)
         self._plan_workload()
-        self._tracked.update(gt.packet_id for gt in self.log.ground_truth if gt.packet_id is not None)
+        self._truth_ids.update(gt.packet_id for gt in self.log.ground_truth if gt.packet_id is not None)
         t_end = self.log.horizon_us + sim.drain_us
         heap = self._heap
         while heap and heap[0][0] <= t_end:

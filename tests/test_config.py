@@ -10,6 +10,7 @@ import yaml
 from hodsim.attacks import AttackKind, AttackSpec, TargetRole
 from hodsim.cli import main
 from hodsim.config import ConfigError, ScenarioConfig, SimSection, TopologyConfig
+from hodsim.metrics import run_scenario
 from hodsim.simcore import CompromiseMode, MacConfig, RadioModel
 from hodsim.topology import HexCoord
 
@@ -422,6 +423,23 @@ class TestBuiltInCode:
         )
         assert a.echo() == b.echo()
         assert a.scenario_hash() == b.scenario_hash()
+
+    def test_a_plain_tuple_cell_is_its_hex_coord(self):
+        topology = TopologyConfig(rings=1, sensors_per_cell=2)
+        plain = ScenarioConfig(
+            topology=topology, attacks=[AttackSpec(kind="Jamming", start_us=0, end_us=1, cell=(1, 0))]
+        )
+        hexed = ScenarioConfig(
+            topology=topology, attacks=[AttackSpec(kind="Jamming", start_us=0, end_us=1, cell=HexCoord(1, 0))]
+        )
+        assert type(plain.attacks[0].cell) is HexCoord
+        assert plain.echo() == hexed.echo()
+        assert plain.echo()["attacks"][0]["cell"] == {"q": 1, "r": 0}
+        assert plain.scenario_hash() == hexed.scenario_hash()
+        log, _ = run_scenario(plain, "hod", plain.seed)
+        assert [g.target for g in log.ground_truth] == ["cell:1,0"]
+        with pytest.raises(ValueError, match=re.escape("cell must be a (q, r) pair, got (1, 0, 0)")):
+            AttackSpec(kind="Jamming", start_us=0, end_us=1, cell=(1, 0, 0))
 
     def test_scenario_is_frozen(self):
         sc = ScenarioConfig()

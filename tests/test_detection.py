@@ -491,7 +491,7 @@ class TestWatchdog:
 
 
 class TestRippling:
-    def spoofed_run(self, horizon=6, **spec_kw):
+    def spoofed_run(self, *extra, horizon=6, **spec_kw):
         spec = dict(
             kind=AttackKind.SLOT_SPOOF,
             start_us=0,
@@ -500,7 +500,7 @@ class TestRippling:
             packet_count=2,
         )
         spec.update(spec_kw)
-        eng = make_engine(sensors_per_cell=3, horizon_windows=horizon, attacks=[AttackSpec(**spec)])
+        eng = make_engine(sensors_per_cell=3, horizon_windows=horizon, attacks=[AttackSpec(**spec), *extra])
         HodMonitors(eng)
         apply_attacks(eng)
         eng.run()
@@ -547,9 +547,8 @@ class TestRippling:
         own = [a for a in eng.log.alerts if a.detected_by == base]
         assert own and all(a.hop_trail == [base] for a in own)
 
-    def test_retries_deliver_exactly_once(self):
-        # jam the victim's uplink for two boundaries; the outbox must retry
-        # and the base must still record each alert exactly once
+    def jammed_uplink_run(self, *attacks):
+        # a spoof in the first window, and the regional jammed across the next two boundaries
         topo = make_engine(sensors_per_cell=3).topology
         regional = topo.regional_of_cell(CELL)
         rx_, ry_ = topo.position(regional)
@@ -572,11 +571,18 @@ class TestRippling:
                     position=(rx_, ry_),
                     power_dbm=30.0,
                 ),
+                *attacks,
             ],
         )
         HodMonitors(eng)
         apply_attacks(eng)
         eng.run()
+        return eng
+
+    def test_retries_deliver_exactly_once(self):
+        # the outbox must retry past the jammed boundaries and the base must
+        # still record each alert exactly once
+        eng = self.jammed_uplink_run()
         gt = [g for g in eng.log.ground_truth if g.kind == "SlotSpoof"]
         records = [
             r for r in eng.log.base_received if r.alert.rule is AlertRule.SLOT_VIOLATION
@@ -589,6 +595,50 @@ class TestRippling:
             assert len(recs) == 1
             # first two uplink attempts fell inside the jam window
             assert recs[0].base_arrival_us >= 4 * W
+
+    def test_a_cluster_silent_for_a_step_resends_nothing_that_was_delivered(self):
+        # the alarms sent at W are delivered while the cluster is Silent at 2W;
+        # when it speaks again at 3W it must not send them a second time
+        eng = self.spoofed_run(
+            AttackSpec(
+                kind=AttackKind.NODE_COMPROMISE,
+                start_us=3 * W // 2,
+                end_us=5 * W // 2,
+                cell=CELL,
+                compromise_mode="Silent",
+            ),
+            end_us=W,
+        )
+        keys = [r.alert.dedup_key() for r in eng.log.base_received]
+        assert len(keys) == len(set(keys))
+        spoofed = {g.packet_id for g in eng.log.ground_truth if g.kind == "SlotSpoof"}
+        at_base = {r.alert.packet_id for r in eng.log.base_received if r.alert.rule is AlertRule.SLOT_VIOLATION}
+        assert at_base == spoofed
+
+    def test_false_data_cluster_drops_alarms_queued_before_its_compromise(self):
+        # the spoof's alarms wait in the outbox while the uplink is jammed; the
+        # cluster turns FalseData before they get through and must not forward them
+        eng = self.jammed_uplink_run(
+            AttackSpec(
+                kind=AttackKind.NODE_COMPROMISE,
+                start_us=3 * W // 2,
+                end_us=6 * W,
+                cell=CELL,
+                compromise_mode="FalseData",
+            )
+        )
+        cluster = eng.topology.cluster_of(CELL)
+        assert any(a.rule is AlertRule.SLOT_VIOLATION and a.detected_by == cluster for a in eng.log.alerts)
+        alarms_while_lying = [
+            e
+            for e in eng.log.events
+            if e.event_kind == "tx"
+            and e.src == cluster
+            and e.pkt_kind == PacketKind.REGIONAL_ALARM.value
+            and 3 * W // 2 <= e.time_us < 6 * W
+        ]
+        assert alarms_while_lying == []
+        assert not [r for r in eng.log.base_received if r.alert.rule is AlertRule.SLOT_VIOLATION]
 
     def test_false_data_cluster_detects_but_never_forwards(self):
         eng = self.spoofed_run(horizon=6)

@@ -24,6 +24,7 @@ from hodsim.simcore import (
     CompromiseMode,
     Engine,
     EnergyModel,
+    GroundTruthEvent,
     InterferenceSource,
     MacConfig,
     Outcome,
@@ -33,7 +34,7 @@ from hodsim.simcore import (
     WorkloadConfig,
     power_sum_dbm,
 )
-from hodsim.topology import HexCoord, NodeRole, axial_to_xy, build_topology
+from hodsim.topology import HexCoord, NodeRole, axial_to_xy, build_topology, suspect_node
 
 
 def db_to_mw(db):
@@ -188,10 +189,10 @@ class TestDeliveryOutcomes:
         s1, s2 = eng.topology.sensors_of(cell)
         cluster = eng.topology.cluster_of(cell)
         tracked, untracked = data_packet(eng, s1, cluster), data_packet(eng, s2, cluster)
-        eng.track_delivery(tracked.packet_id)
+        eng.log.ground_truth.append(GroundTruthEvent(1000, "SlotSpoof", suspect_node(s1), "", tracked.packet_id))
         eng.schedule(1000, eng.send, tracked)
         eng.schedule(5000, eng.send, untracked)
-        drain(eng)
+        eng.run()
         assert self.outcomes(eng.log) == [("rx", tracked.packet_id), ("rx", untracked.packet_id)]
         assert eng.log.delivered_to == {tracked.packet_id: cluster}
 
@@ -333,7 +334,7 @@ class TestEngineMechanics:
             dst=cluster,
             phantom_pos=(cx + 5.0, cy),
         )
-        eng.track_delivery(pkt.packet_id)
+        eng.log.ground_truth.append(GroundTruthEvent(0, "SlotSpoof", suspect_node(victim), "", pkt.packet_id))
         eng.schedule(0, eng.send, pkt)
         eng.run()
         assert eng.log.counters[victim].total_sent() == 0  # the victim sent nothing
