@@ -24,7 +24,7 @@ periodic data reports (cluster report, regional summary) are overlay traffic
 too: HodMonitors sends them at the end of every window, after the alarm and
 heartbeat traffic.
 
-The layer tag on an alert names the protocol layer whose rule fired:
+An alert's layer follows from its rule and names the protocol layer it guards:
 phy (jamming), link (slot / sleep / foreign origin), net (route deviation),
 overlay (watchdog findings about the monitoring hierarchy itself).
 
@@ -41,10 +41,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from .mac import SmacSchedule, TdmaSchedule, is_sleep_violation, is_slot_violation, slot_owner_at
+from .mac import SmacSchedule, TdmaSchedule, is_sleep_violation, is_slot_violation
 from .simcore import (
     DATA_KINDS,
     ChannelWindowStats,
@@ -124,15 +124,19 @@ class DetectorThresholds:
 
 @dataclass
 class Alert:
+    """One finding: which rule fired on whom, where, when, and the hops it took."""
+
     rule: AlertRule
-    layer: str
     suspect: str
     detected_by: int
     detected_at: SimTime
     window: int
     hop_trail: list[int]
-    evidence: dict[str, Any] = field(default_factory=dict)
     packet_id: int | None = None
+
+    @property
+    def layer(self) -> str:
+        return LAYER_OF_RULE[self.rule]
 
     def dedup_key(self) -> tuple:
         return (self.rule.value, self.suspect, self.window, self.packet_id)
@@ -144,18 +148,15 @@ def _new_alert(
     detected_by: int,
     now: SimTime,
     window: int,
-    evidence: dict[str, Any],
     packet_id: int | None = None,
 ) -> Alert:
     return Alert(
         rule=rule,
-        layer=LAYER_OF_RULE[rule],
         suspect=suspect,
         detected_by=detected_by,
         detected_at=now,
         window=window,
         hop_trail=[detected_by],
-        evidence=evidence,
         packet_id=packet_id,
     )
 
@@ -228,23 +229,21 @@ class ConnectivityGraph:
         return tuple(path)
 
 
-def check_route(graph: ConnectivityGraph, packet: Packet) -> tuple[bool, dict[str, Any]]:
-    """Route verdict for a data packet addressed to its destination.
+def check_route(graph: ConnectivityGraph, packet: Packet) -> bool:
+    """Whether a data packet addressed to its destination left the expected route.
 
     The observed path is read from the header alone: the claimed origin, the
     link-layer sender when that is a relay (src != origin), and the
     destination.  The engine relays a packet at most once, so this is every
     node the packet passed through, whether or not its last hop was delivered.
+    A pair with no route is no violation.
     """
     expected = graph.expected_route(packet.origin, packet.dst)
-    if packet.src == packet.origin:
-        observed = [packet.origin, packet.dst]
-    else:
-        observed = [packet.origin, packet.src, packet.dst]
     if expected is None:
-        return False, {"error": "NoRoute"}
-    violated = observed != expected
-    return violated, {"observed_path": observed, "expected_path": expected}
+        return False
+    if packet.src == packet.origin:
+        return expected != [packet.origin, packet.dst]
+    return expected != [packet.origin, packet.src, packet.dst]
 
 
 # ============================================================================
@@ -252,31 +251,22 @@ def check_route(graph: ConnectivityGraph, packet: Packet) -> tuple[bool, dict[st
 # ============================================================================
 
 
-def detect_jamming(
-    stats: ChannelWindowStats, thresholds: DetectorThresholds
-) -> tuple[bool, dict[str, Any]]:
+def detect_jamming(stats: ChannelWindowStats, thresholds: DetectorThresholds) -> bool:
     """k-of-3 vote over PDR, mean idle RSSI, and mean carrier-sense time."""
     if thresholds.idle_rssi_max_dbm is None or thresholds.carrier_sense_max_us is None:
         raise AssertionError("thresholds must be resolved against the radio model")
-    trips = {
-        "pdr": stats.pdr < thresholds.pdr_min,
-        "idle_rssi": stats.mean_idle_rssi_dbm > thresholds.idle_rssi_max_dbm,
-        "carrier_sense": stats.mean_carrier_sense_us > thresholds.carrier_sense_max_us,
-    }
-    fired = sum(trips.values()) >= thresholds.vote_k
-    evidence = {
-        "pdr": round(stats.pdr, 6),
-        "idle_rssi_dbm": round(stats.mean_idle_rssi_dbm, 3),
-        "carrier_sense_us": round(stats.mean_carrier_sense_us, 3),
-        "trips": sorted(k for k, v in trips.items() if v),
-    }
-    return fired, evidence
+    trips = (
+        (stats.pdr < thresholds.pdr_min)
+        + (stats.mean_idle_rssi_dbm > thresholds.idle_rssi_max_dbm)
+        + (stats.mean_carrier_sense_us > thresholds.carrier_sense_max_us)
+    )
+    return trips >= thresholds.vote_k
 
 
 def jamming_votes(
     stats_by_cell: dict[HexCoord, ChannelWindowStats], thresholds: DetectorThresholds
-) -> dict[HexCoord, tuple[bool, dict[str, Any]]]:
-    """One window's jamming vote for every cell: {cell: (fired, evidence)}."""
+) -> dict[HexCoord, bool]:
+    """One window's jamming vote for every cell: {cell: fired}."""
     return {cell: detect_jamming(stats, thresholds) for cell, stats in stats_by_cell.items()}
 
 
@@ -292,27 +282,23 @@ def evaluate_data_packet(
     tdma: TdmaSchedule,
     smac: SmacSchedule,
     graph: ConnectivityGraph,
-    cell: HexCoord,
-) -> tuple[list[tuple[AlertRule, dict[str, Any]]], int]:
-    """Apply the per-packet rules to one data packet bound for cell's cluster.
+) -> tuple[list[AlertRule], int]:
+    """Apply the per-packet rules to one data packet bound for its cell's cluster.
 
-    t_tx is the claimed transmit time, members the sensors of the cell.
-    Returns the findings as (rule, evidence) pairs, each naming the claimed
-    origin as suspect, plus the number of rules evaluated: 1 when the
+    t_tx is the claimed transmit time, members the sensors of the cell, and
+    tdma and smac its schedules.  Returns the rules that fired, each against
+    the claimed origin, plus the number of rules evaluated: 1 when the
     foreign-origin check short-circuits, otherwise 4.
     """
     if packet.origin not in members:
-        return [(AlertRule.FOREIGN_ORIGIN, {"t_tx": t_tx, "cell": suspect_cell(cell)})], 1
-    findings: list[tuple[AlertRule, dict[str, Any]]] = []
+        return [AlertRule.FOREIGN_ORIGIN], 1
+    findings = []
     if is_slot_violation(tdma, packet.origin, t_tx):
-        findings.append(
-            (AlertRule.SLOT_VIOLATION, {"t_tx": t_tx, "slot_owner": slot_owner_at(tdma, t_tx)})
-        )
+        findings.append(AlertRule.SLOT_VIOLATION)
     if is_sleep_violation(smac, t_tx):
-        findings.append((AlertRule.SLEEP_VIOLATION, {"t_tx": t_tx}))
-    violated, route_ev = check_route(graph, packet)
-    if violated:
-        findings.append((AlertRule.ROUTE_DEVIATION, route_ev))
+        findings.append(AlertRule.SLEEP_VIOLATION)
+    if check_route(graph, packet):
+        findings.append(AlertRule.ROUTE_DEVIATION)
     return findings, 4
 
 
@@ -322,14 +308,14 @@ def cluster_pipeline(
     detector: int,
     window: int,
     received: list[tuple[SimTime, Packet]],
-    vote: tuple[bool, dict[str, Any]],
+    jammed: bool,
 ) -> tuple[list[Alert], int]:
     """Run one detector's window: gather, detect, package.
 
     The detector is a cluster node reading its inbox (overlay) or a sensor
     reading what it overheard (flat baseline); either way it judges its own
     cell's channel and the data packets addressed to its cell's cluster.
-    vote is that cell's jamming vote, taken once when the window closed.
+    jammed is that cell's jamming vote, taken once when the window closed.
     Returns the alerts plus the number of rule evaluations performed (for the
     monitor energy ledger).  Callers must not invoke this for a cluster in
     Silent compromise.
@@ -344,23 +330,19 @@ def cluster_pipeline(
     latency = engine.config.radio.per_hop_latency_us
     alerts: list[Alert] = []
 
-    fired, evidence = vote
     evals = 1
-    if fired:
-        alerts.append(
-            _new_alert(AlertRule.JAMMING_SUSPECTED, suspect_cell(cell), detector, now, window, evidence)
-        )
+    if jammed:
+        alerts.append(_new_alert(AlertRule.JAMMING_SUSPECTED, suspect_cell(cell), detector, now, window))
 
     for arrival, packet in received:
         if packet.dst != cluster or packet.kind not in DATA_KINDS:
             continue
         t_tx = arrival - latency  # claimed transmit time reconstructed from the hop latency
-        findings, n = evaluate_data_packet(packet, t_tx, sensors, tdma, smac, graph, cell)
+        findings, n = evaluate_data_packet(packet, t_tx, sensors, tdma, smac, graph)
         evals += n
         suspect = suspect_node(packet.origin)
         alerts.extend(
-            _new_alert(rule, suspect, detector, now, window, ev, packet.packet_id)
-            for rule, ev in findings
+            _new_alert(rule, suspect, detector, now, window, packet.packet_id) for rule in findings
         )
 
     # package phase: drop duplicates within the window
@@ -389,14 +371,15 @@ def watchdog_check(
     now: SimTime,
     last_seen_window: int,
     thresholds: DetectorThresholds,
-    suppression_evidence: list[dict[str, Any]] | None = None,
+    suppressed: list[bool] | None = None,
 ) -> list[Alert]:
     """Liveness and suppression checks for one (monitor, monitored) pair.
 
-    suppression_evidence, when provided, holds one entry per window of the
-    lookback, each {'anomalous': bool, 'reported_zero': bool, ...}; the
-    SuppressedAlerts rule fires only if every entry shows an independently
-    observed anomaly while the child reported zero alerts.
+    MissedHeartbeat fires once the monitored node has been silent for the
+    heartbeat timeout.  suppressed, when provided, holds one flag per window
+    of the lookback, each true when that window's jamming vote fired on the
+    child's cell while the child reported zero alerts about it; the
+    SuppressedAlerts rule fires only if the last timeout flags are all true.
     """
     pair = (topology.role(monitor_id), topology.role(monitored_id))
     if pair not in _LEGAL_WATCHDOG_PAIRS:
@@ -406,32 +389,11 @@ def watchdog_check(
         )
     alerts: list[Alert] = []
     timeout = thresholds.heartbeat_timeout_windows
-    silent_windows = window - last_seen_window
     suspect = suspect_node(monitored_id)
-    if silent_windows >= timeout:
-        alerts.append(
-            _new_alert(
-                AlertRule.MISSED_HEARTBEAT,
-                suspect,
-                monitor_id,
-                now,
-                window,
-                {"silent_windows": silent_windows, "last_seen_window": last_seen_window},
-            )
-        )
-    if suppression_evidence is not None and len(suppression_evidence) >= timeout:
-        recent = suppression_evidence[-timeout:]
-        if all(e["anomalous"] and e["reported_zero"] for e in recent):
-            alerts.append(
-                _new_alert(
-                    AlertRule.SUPPRESSED_ALERTS,
-                    suspect,
-                    monitor_id,
-                    now,
-                    window,
-                    {"windows": [e.get("window") for e in recent], "lookback": recent},
-                )
-            )
+    if window - last_seen_window >= timeout:
+        alerts.append(_new_alert(AlertRule.MISSED_HEARTBEAT, suspect, monitor_id, now, window))
+    if suppressed is not None and len(suppressed) >= timeout and all(suppressed[-timeout:]):
+        alerts.append(_new_alert(AlertRule.SUPPRESSED_ALERTS, suspect, monitor_id, now, window))
     return alerts
 
 
@@ -460,12 +422,9 @@ def _send(
     *,
     control: bool = True,
     long_range: bool = False,
-    mac_exempt: bool = False,
 ) -> int:
     """Send one monitor message now (IDS control plane by default); returns its packet id."""
-    packet = eng.new_packet(
-        kind, src, dst, payload=payload, control=control, long_range=long_range, mac_exempt=mac_exempt
-    )
+    packet = eng.new_packet(kind, src, dst, payload=payload, control=control, long_range=long_range)
     eng.send(packet)
     return packet.packet_id
 
@@ -499,7 +458,7 @@ class HodMonitors:
         self.reported_alert_counts: dict[int, int] = {}  # cluster -> this window's report
         # window -> {cell: jamming vote} and window -> {cluster: alert count it
         # reported about that window}, each for this window and the lookback before it
-        self.votes: dict[int, dict[HexCoord, tuple[bool, dict[str, Any]]]] = {}
+        self.votes: dict[int, dict[HexCoord, bool]] = {}
         self.child_reports: dict[int, dict[int, int]] = {}
         engine.inboxes = {m: [] for m in topo.monitor_ids()}
         engine.monitors = self
@@ -604,26 +563,16 @@ class HodMonitors:
 
         own: list[Alert] = []
         evals = 0
+        # Lookback pairs each completed window's jamming vote on the child's
+        # cell with the child's report about that same window; the report for
+        # window w only arrives during w+1 (a scenario's hop latency is below
+        # its window), so the current window is excluded.  A missing report is
+        # absence, not a zero claim.
+        lookback = range(max(0, window - self.thresholds.heartbeat_timeout_windows), window)
         for child in children:
             cell = topo.node(child).cell
-            # Lookback pairs each completed window's jamming vote on the child's
-            # cell with the child's report about that same window; the report
-            # for window w only arrives during w+1 (a scenario's hop latency is
-            # below its window), so the current window is excluded.  A missing
-            # report is absence, not a zero claim.
-            evidence = []
-            for w in range(max(0, window - self.thresholds.heartbeat_timeout_windows), window):
-                anomalous, vote_ev = self.votes[w][cell]
-                reported = self.child_reports[w].get(child)
-                evidence.append(
-                    {
-                        "window": w,
-                        "anomalous": anomalous,
-                        "reported_zero": reported == 0,
-                        "overheard_pdr": vote_ev["pdr"],
-                    }
-                )
-            evals += 2 + len(evidence)
+            suppressed = [self.votes[w][cell] and self.child_reports[w].get(child) == 0 for w in lookback]
+            evals += 2 + len(suppressed)
             own.extend(
                 watchdog_check(
                     topo,
@@ -633,7 +582,7 @@ class HodMonitors:
                     eng.now,
                     self.last_seen[child],
                     self.thresholds,
-                    suppression_evidence=evidence,
+                    suppressed=suppressed,
                 )
             )
         eng.charge_rule_evals(regional, evals)
@@ -715,11 +664,11 @@ class FlatMonitors:
                 _trace_finding(engine, a, "anomaly")
             engine.charge_rule_evals(sensor, evals)
             for peer in self.neighbors[sensor]:
-                _send(engine, sensor, peer, PacketKind.HEARTBEAT, {"window": window}, mac_exempt=True)
+                _send(engine, sensor, peer, PacketKind.HEARTBEAT, {"window": window})
             for a in found:
                 notice = {"anomaly": {"rule": a.rule.value, "suspect": a.suspect, "window": a.window}}
                 for peer in self.neighbors[sensor]:
-                    _send(engine, sensor, peer, PacketKind.REGIONAL_ALARM, notice, mac_exempt=True)
+                    _send(engine, sensor, peer, PacketKind.REGIONAL_ALARM, notice)
 
 
 # ============================================================================

@@ -225,7 +225,6 @@ class Packet:
     payload: dict[str, Any] = field(default_factory=dict)
     control: bool = False  # IDS control plane (separate logical channel)
     long_range: bool = False
-    mac_exempt: bool = False  # attack machinery bypasses sender-side MAC asserts
     phantom_pos: tuple[float, float] | None = None  # true tx position if forged
 
 
@@ -472,14 +471,13 @@ class Engine:
         payload: dict[str, Any] | None = None,
         control: bool = False,
         long_range: bool = False,
-        mac_exempt: bool = False,
         phantom_pos: tuple[float, float] | None = None,
     ) -> Packet:
         """A packet from src with the next id; its origin is src."""
         # positional, in field order: keyword matching costs more than the rest
         return Packet(
             self.next_packet_id(), kind, src, src, dst,
-            {} if payload is None else payload, control, long_range, mac_exempt, phantom_pos,
+            {} if payload is None else payload, control, long_range, phantom_pos,
         )
 
     def schedule(self, t: SimTime, handler: Callable[[Any], object], arg: Any) -> None:
@@ -601,8 +599,8 @@ class Engine:
             src_node = nodes[packet.src]
             if active_at(self.compromise, packet.src, self.now) is CompromiseMode.SILENT:
                 return
-            if src_node.role is NodeRole.SENSOR and not packet.mac_exempt:
-                # compliant sensors only transmit inside their wake window
+            if src_node.role is NodeRole.SENSOR and not packet.control:
+                # a sensor's data plane only transmits inside its wake window
                 if not is_awake(self.smac[src_node.cell], self.now):
                     raise AssertionError(
                         f"sensor {packet.src} transmitting outside wake window at {self.now}"
@@ -724,7 +722,7 @@ class Engine:
         cluster = self.topology.cluster_of(cell)
         # forwarded inside the victim's own slot so only the route layer fires
         t = next_compliant_slot(self.tdma[cell], self.smac[cell], packet.origin, self.now)
-        self.schedule(t, self.send, replace(packet, src=relay, dst=cluster, mac_exempt=True))
+        self.schedule(t, self.send, replace(packet, src=relay, dst=cluster))
 
     def _listeners_at(self, pos: tuple[float, float]) -> list[tuple[int, Node, float]]:
         """The registered overhearing sensors that hear pos at zero shadowing.

@@ -1,5 +1,6 @@
 """Detection rules: unit truth tables, routing oracle, watchdog, rippling."""
 
+import dataclasses
 from collections import Counter, deque
 
 import pytest
@@ -24,6 +25,7 @@ from hodsim.detection import (
     suspect_node,
     watchdog_check,
 )
+from hodsim.mac import slot_owner_at
 from hodsim.metrics import score
 from hodsim.simcore import (
     ChannelWindowStats,
@@ -97,19 +99,21 @@ class TestJammingVote:
         ],
     )
     def test_two_of_three_vote(self, pdr, idle, cs, want):
-        fired, evidence = detect_jamming(stats_for(CELL, pdr=pdr, idle=idle, cs=cs), self.T)
-        assert fired is want
+        stats = stats_for(CELL, pdr=pdr, idle=idle, cs=cs)
+        assert detect_jamming(stats, self.T) is want
+        # each indicator trips past its own threshold, and a k-of-3 vote fires from k trips
         n_trips = (pdr < 0.6) + (idle > -85.0) + (cs > 384.0)
-        assert len(evidence["trips"]) == n_trips
+        votes = [detect_jamming(stats, dataclasses.replace(self.T, vote_k=k)) for k in (1, 2, 3)]
+        assert votes == [n_trips >= k for k in (1, 2, 3)]
 
     def test_vote_k_extremes(self):
         k1 = DetectorThresholds(vote_k=1).resolved(RadioModel())
         k3 = DetectorThresholds(vote_k=3).resolved(RadioModel())
         one_trip = stats_for(CELL, pdr=0.5)
         two_trips = stats_for(CELL, pdr=0.5, idle=-80.0)
-        assert detect_jamming(one_trip, k1)[0]
-        assert not detect_jamming(two_trips, k3)[0]
-        assert detect_jamming(stats_for(CELL, pdr=0.5, idle=-80.0, cs=5128.0), k3)[0]
+        assert detect_jamming(one_trip, k1)
+        assert not detect_jamming(two_trips, k3)
+        assert detect_jamming(stats_for(CELL, pdr=0.5, idle=-80.0, cs=5128.0), k3)
 
 
 class TestConnectivityGraph:
@@ -188,27 +192,23 @@ class TestCheckRoute:
         graph = ConnectivityGraph(topo, 75.0)
         s = topo.sensors_of(CELL)[0]
         c = topo.cluster_of(CELL)
-        violated, ev = check_route(graph, self.packet(s, c))
-        assert not violated
-        assert ev["observed_path"] == ev["expected_path"] == [s, c]
+        assert graph.expected_route(s, c) == [s, c]
+        assert not check_route(graph, self.packet(s, c))
 
     def test_detour_flagged(self):
         topo = make_engine(sensors_per_cell=2).topology
         graph = ConnectivityGraph(topo, 75.0)
         s0, s1 = topo.sensors_of(CELL)
         c = topo.cluster_of(CELL)
-        violated, ev = check_route(graph, self.packet(s0, c, src=s1))
-        assert violated
-        assert ev["observed_path"] == [s0, s1, c]
-        assert ev["expected_path"] == [s0, c]
+        assert graph.expected_route(s0, c) == [s0, c]
+        assert check_route(graph, self.packet(s0, c, src=s1))
 
     def test_unroutable_pair_is_not_a_violation(self):
         topo = make_engine(sensors_per_cell=2).topology
         graph = ConnectivityGraph(topo, 75.0)
         s = topo.sensors_of(CELL)[0]
-        violated, ev = check_route(graph, self.packet(s, topo.base_id))
-        assert not violated
-        assert ev == {"error": "NoRoute"}
+        assert graph.expected_route(s, topo.base_id) is None
+        assert not check_route(graph, self.packet(s, topo.base_id))
 
 
 class TestClusterPipeline:
@@ -266,7 +266,7 @@ class TestClusterPipeline:
         a = alerts[0]
         assert a.suspect == suspect_node(s1)
         assert a.packet_id == 5
-        assert a.evidence["slot_owner"] == self.sensors[0]
+        assert slot_owner_at(self.eng.tdma[CELL], 2_000) == self.sensors[0]
         assert a.layer == "link"
 
     def test_sleep_violation(self):
@@ -281,7 +281,7 @@ class TestClusterPipeline:
         entry = self.inbox_entry(s0, 2_000, relay=s1)
         alerts, _ = self.run_pipeline([entry])
         assert [a.rule for a in alerts] == [AlertRule.ROUTE_DEVIATION]
-        assert alerts[0].evidence["expected_path"] == [s0, self.cluster]
+        assert self.graph.expected_route(s0, self.cluster) == [s0, self.cluster]
         assert alerts[0].layer == "net"
 
     def test_non_data_kinds_skipped(self):
@@ -375,7 +375,7 @@ class TestOneJammingVote:
             (w, cell)
             for w, by_cell in enumerate(eng.log.window_stats)
             for cell, stats in by_cell.items()
-            if detect_jamming(stats, thresholds)[0]
+            if detect_jamming(stats, thresholds)
         }
 
     @pytest.mark.parametrize("mode", ["hod", "flat"])
@@ -422,12 +422,11 @@ class TestOneJammingVote:
 
         suppressed = [a for a in eng.log.alerts if a.rule is AlertRule.SUPPRESSED_ALERTS]
         assert suppressed
+        lookback = eng.config.detect.heartbeat_timeout_windows
         for a in suppressed:
             cell = topo.node(int(a.suspect.split(":")[1])).cell
-            for entry in a.evidence["lookback"]:
-                w = entry["window"]
-                assert entry["overheard_pdr"] == round(eng.log.window_stats[w][cell].pdr, 6)
-                assert entry["anomalous"] == ((w, cell) in fired)
+            for w in range(a.window - lookback, a.window):
+                assert (w, cell) in fired
 
 
 class TestWatchdog:
@@ -438,7 +437,7 @@ class TestWatchdog:
         self.sensor = self.topo.sensors_of(CELL)[0]
         self.regional = self.topo.regional_of_cell(CELL)
 
-    def check(self, monitor, monitored, window=5, last_seen=4, evidence=None):
+    def check(self, monitor, monitored, window=5, last_seen=4, suppressed=None):
         return watchdog_check(
             self.topo,
             monitor,
@@ -447,7 +446,7 @@ class TestWatchdog:
             now=(window + 1) * W,
             last_seen_window=last_seen,
             thresholds=self.thresholds,
-            suppression_evidence=evidence,
+            suppressed=suppressed,
         )
 
     def test_hierarchy_only_monitors_one_layer_down(self):
@@ -462,28 +461,21 @@ class TestWatchdog:
         assert self.check(self.cluster, self.sensor, window=5, last_seen=4) == []
         alerts = self.check(self.cluster, self.sensor, window=5, last_seen=3)
         assert [a.rule for a in alerts] == [AlertRule.MISSED_HEARTBEAT]
-        assert alerts[0].evidence == {"silent_windows": 2, "last_seen_window": 3}
         assert alerts[0].suspect == suspect_node(self.sensor)
 
     def test_never_seen_child(self):
         alerts = self.check(self.cluster, self.sensor, window=1, last_seen=-1)
         assert [a.rule for a in alerts] == [AlertRule.MISSED_HEARTBEAT]
-        assert alerts[0].evidence["silent_windows"] == 2
 
     def test_suppression_requires_full_lookback(self):
-        good = {"anomalous": True, "reported_zero": True, "window": 0}
-        partial = {"anomalous": True, "reported_zero": False, "window": 1}
-        fires = self.check(self.regional, self.cluster, evidence=[good, good])
+        fires = self.check(self.regional, self.cluster, suppressed=[True, True])
         assert [a.rule for a in fires] == [AlertRule.SUPPRESSED_ALERTS]
-        assert self.check(self.regional, self.cluster, evidence=[good, partial]) == []
-        assert self.check(self.regional, self.cluster, evidence=[good]) == []
-        assert self.check(self.regional, self.cluster, evidence=None) == []
+        assert self.check(self.regional, self.cluster, suppressed=[True, False]) == []
+        assert self.check(self.regional, self.cluster, suppressed=[True]) == []
+        assert self.check(self.regional, self.cluster, suppressed=None) == []
 
     def test_liveness_and_suppression_can_costack(self):
-        good = {"anomalous": True, "reported_zero": True, "window": 0}
-        alerts = self.check(
-            self.regional, self.cluster, window=5, last_seen=2, evidence=[good, good]
-        )
+        alerts = self.check(self.regional, self.cluster, window=5, last_seen=2, suppressed=[True, True])
         assert {a.rule for a in alerts} == {
             AlertRule.MISSED_HEARTBEAT,
             AlertRule.SUPPRESSED_ALERTS,
@@ -682,13 +674,11 @@ class TestMatchAlerts:
     def record(self, rule, suspect, detected_at, pid=None, arrival=None):
         alert = Alert(
             rule=rule,
-            layer="link",
             suspect=suspect,
             detected_by=21,
             detected_at=detected_at,
             window=detected_at // W,
             hop_trail=[21],
-            evidence={},
             packet_id=pid,
         )
         return BaseAlertRecord(alert=alert, base_arrival_us=arrival or detected_at + 2000)

@@ -81,13 +81,11 @@ def base_record(rule, suspect, detected_at, pid=None, arrival=None):
     return BaseAlertRecord(
         alert=Alert(
             rule=rule,
-            layer="link",
             suspect=suspect,
             detected_by=21,
             detected_at=detected_at,
             window=detected_at // W,
             hop_trail=[21],
-            evidence={},
             packet_id=pid,
         ),
         base_arrival_us=arrival if arrival is not None else detected_at + 2000,
@@ -182,7 +180,6 @@ class TestFlatRecords:
         log = empty_log(topo, mode="flat")
         mk = lambda by, at, window=0: Alert(
             rule=AlertRule.SLOT_VIOLATION,
-            layer="link",
             suspect="node:4",
             detected_by=by,
             detected_at=at,

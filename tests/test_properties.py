@@ -1,12 +1,17 @@
 """Property test: random small scenarios against the determinism and ledger invariants.
 
-Scenarios span rings 0-2, 1-4 sensors per cell, 2-4 windows, shadowing off or
+Scenarios span rings 0-2, 1-4 sensors per cell, 2-6 windows, shadowing off or
 at 4 dB, and up to three attacks of any kind that fit the grid: target cells
 and regions drawn from it, intervals inside the horizon, and a forgery or
 detour only with a second sensor in the cell.  Either the regional -> base
 uplink is reliable, or it takes the short-range link budget at 30 dBm, which
 reaches the base from every regional at rings <= 2.  Runs whose forgery
 interval holds no admissible emission time (AttackSpecError) are discarded.
+
+An alarm raised at window w reaches the base at step w + 2, and a copy resent
+one step later at w + 3.  So only a run of at least w + 4 windows shows a
+cluster that resends a delivered alarm, as two base records with one dedup
+key; the horizons reach 6 windows so that the drawn runs guard the ack.
 """
 
 from hypothesis import assume, given, settings
@@ -55,7 +60,7 @@ def attack_specs(draw, rings, sensors_per_cell, horizon_us):
 def scenarios(draw):
     rings = draw(st.integers(0, 2))
     sensors_per_cell = draw(st.integers(1, 4))
-    windows = draw(st.integers(2, 4))
+    windows = draw(st.integers(2, 6))
     reliable = draw(st.booleans())
     return ScenarioConfig(
         topology=TopologyConfig(rings=rings, sensors_per_cell=sensors_per_cell),

@@ -144,7 +144,7 @@ def drain(engine, t_end=None):
         handler(arg)
 
 
-def data_packet(engine, src, dst, control=False, mac_exempt=True, long_range=False):
+def data_packet(engine, src, dst, control=False, long_range=False):
     return Packet(
         packet_id=engine.next_packet_id(),
         kind=PacketKind.SENSOR_DATA if not control else PacketKind.HEARTBEAT,
@@ -152,7 +152,6 @@ def data_packet(engine, src, dst, control=False, mac_exempt=True, long_range=Fal
         origin=src,
         dst=dst,
         control=control,
-        mac_exempt=mac_exempt,
         long_range=long_range,
     )
 
@@ -220,8 +219,8 @@ class TestDeliveryOutcomes:
             InterferenceSource(x=cx, y=cy, power_dbm=10.0, start_us=0, end_us=10_000)
         )
         eng.schedule(100, eng.send, data_packet(eng, sensor, cluster))
-        # second try after the jammer stops: delivered
-        eng.schedule(20_000, eng.send, data_packet(eng, sensor, cluster))
+        # second try after the jammer stops, in the next wake window: delivered
+        eng.schedule(40_000, eng.send, data_packet(eng, sensor, cluster))
         drain(eng)
         assert self.outcomes(eng.log) == [(Outcome.JAMMED.value, 0), ("rx", 1)]
 
