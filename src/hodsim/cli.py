@@ -19,11 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import TextIO
+from typing import Any, Callable, TextIO
 
 from .attacks import AttackSpecError
 from .config import ConfigError, ScenarioConfig
@@ -46,7 +47,11 @@ TRACE_FIELDS = (
 
 
 def _trace_tuples(events: Iterable[TraceEvent]) -> Iterator[tuple]:
-    """One row per trace event, in TRACE_FIELDS order, formatted as the CSV cells."""
+    """One row per trace event, in TRACE_FIELDS order, as the csv module's cells.
+
+    write_trace does not use it: it and _trace_rows are the reference that
+    tests and bench/check.py format a trace through.
+    """
     for e in events:
         yield (
             e.time_us,
@@ -68,15 +73,51 @@ def _trace_rows(log: RunLog) -> list[dict]:
     return [dict(zip(TRACE_FIELDS, r)) for r in _trace_tuples(log.events)]
 
 
+def _csv_field(text: str) -> str:
+    """text as one field of a CSV row, quoted exactly as csv.QUOTE_MINIMAL quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]  # drop the empty second field's "," and the "\n"
+
+
+class _Memo(dict):
+    """key -> fn(key), each computed on its first lookup and kept."""
+
+    def __init__(self, fn: Callable[[Any], str]) -> None:
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: Any) -> str:
+        value = self[key] = self.fn(key)
+        return value
+
+
+_CHUNK_ROWS = 512  # rows formatted per write: the buffer stays small next to the file
+
+
 def write_trace(log: RunLog, fh: TextIO) -> None:
     """Write a run's trace CSV into an open file: the header block, the column
-    row, then one row per event, formatted as it is written, so no copy of the
-    whole trace is held.  A run with no events gets the header block alone."""
+    row, then one row per event.  Each row is one formatted line; the text of
+    a string field, a cell and an energy is made once per distinct value.  The
+    rows are written a chunk at a time, so the text of the whole file is
+    never held at once.  A run with no events gets the header block alone."""
     fh.write(_header(log))
-    if log.events:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_FIELDS)
-        writer.writerows(_trace_tuples(log.events))
+    events = log.events
+    if not events:
+        return
+    fh.write(",".join(TRACE_FIELDS) + "\n")
+    texts = _Memo(_csv_field)  # event, outcome and kind strings
+    cells = _Memo(lambda c: "" if c is None else _csv_field(f"{c.q},{c.r}"))
+    # energies are never negative, so 0.0 and -0.0 cannot share an entry
+    energies = _Memo(lambda uj: f"{uj:.6f}")
+    for i in range(0, len(events), _CHUNK_ROWS):
+        fh.write("".join([
+            f"{e.time_us},{texts[e.event_kind]},{'' if e.src is None else e.src},"
+            f"{'' if e.dst is None else e.dst},{cells[e.cell]},{texts[e.outcome]},"
+            f"{'' if e.rssi_dbm is None else f'{e.rssi_dbm:.2f}'},{energies[e.energy_uj]},"
+            f"{'' if e.packet_id is None else e.packet_id},{texts[e.pkt_kind]},{e.control:d}\n"
+            for e in events[i:i + _CHUNK_ROWS]
+        ]))
 
 
 def _header(log: RunLog) -> str:

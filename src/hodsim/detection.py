@@ -413,22 +413,6 @@ def _trace_finding(eng: Engine, alert: Alert, event_kind: str) -> None:
     )
 
 
-def _send(
-    eng: Engine,
-    src: int,
-    dst: int,
-    kind: PacketKind,
-    payload: dict | None = None,
-    *,
-    control: bool = True,
-    long_range: bool = False,
-) -> int:
-    """Send one monitor message now (IDS control plane by default); returns its packet id."""
-    packet = eng.new_packet(kind, src, dst, payload=payload, control=control, long_range=long_range)
-    eng.send(packet)
-    return packet.packet_id
-
-
 def _relayed_copy(alert: Alert, node: int) -> Alert:
     """The receiving node's own copy of a relayed alert, with itself on the hop trail."""
     return dataclasses.replace(alert, hop_trail=[*alert.hop_trail, node])
@@ -532,11 +516,15 @@ class HodMonitors:
         else:
             self.reported_alert_counts[cluster] = len(alerts)
             outbox.extend(_OutboxEntry(a) for a in alerts)
+        burst = []
         for entry in outbox:
-            entry.last_packet_id = _send(
-                eng, cluster, regional, PacketKind.REGIONAL_ALARM, {"alert": entry.alert}
+            packet = eng.new_packet(
+                PacketKind.REGIONAL_ALARM, cluster, regional, payload={"alert": entry.alert}, control=True
             )
-        _send(eng, cluster, regional, PacketKind.HEARTBEAT)
+            entry.last_packet_id = packet.packet_id
+            burst.append(packet)
+        burst.append(eng.new_packet(PacketKind.HEARTBEAT, cluster, regional, control=True))
+        eng.send(*burst)
 
     # --------------------------------------------------------------- regional
 
@@ -593,10 +581,15 @@ class HodMonitors:
             return  # keeps reporting (data plane) but suppresses every alert
 
         base = topo.base_id
-        for alert in incoming + own:
-            _send(eng, regional, base, PacketKind.REGIONAL_ALARM, {"alert": alert}, long_range=True)
-        _send(eng, regional, base, PacketKind.REGIONAL_ALARM, long_range=True)
-        _send(eng, regional, base, PacketKind.HEARTBEAT, long_range=True)
+        burst = [
+            eng.new_packet(
+                PacketKind.REGIONAL_ALARM, regional, base, payload={"alert": alert}, control=True, long_range=True
+            )
+            for alert in incoming + own
+        ]
+        burst.append(eng.new_packet(PacketKind.REGIONAL_ALARM, regional, base, control=True, long_range=True))
+        burst.append(eng.new_packet(PacketKind.HEARTBEAT, regional, base, control=True, long_range=True))
+        eng.send(*burst)
 
     # ------------------------------------------------------------------- base
 
@@ -625,16 +618,19 @@ class HodMonitors:
     # ----------------------------------------------------------- data reports
 
     def _send_data_reports(self, window: int) -> None:
-        """Data-plane periodic reports: cluster -> regional -> base."""
+        """Data-plane periodic reports, in one burst: cluster -> regional -> base."""
         eng = self.engine
         topo = eng.topology
+        burst = []
         for cell in topo.cells:
             cluster = topo.cluster_of(cell)
             payload = {"window": window, "alert_count": self.reported_alert_counts.get(cluster, 0)}
-            _send(eng, cluster, topo.regional_of_cell(cell), PacketKind.CLUSTER_REPORT, payload, control=False)
+            regional = topo.regional_of_cell(cell)
+            burst.append(eng.new_packet(PacketKind.CLUSTER_REPORT, cluster, regional, payload=payload))
         for rid in sorted(topo.regional_by_region):
             regional = topo.regional_by_region[rid]
-            _send(eng, regional, topo.base_id, PacketKind.REGIONAL_ALARM, control=False, long_range=True)
+            burst.append(eng.new_packet(PacketKind.REGIONAL_ALARM, regional, topo.base_id, long_range=True))
+        eng.send(*burst)
 
 
 class FlatMonitors:
@@ -663,12 +659,16 @@ class FlatMonitors:
                 engine.log.flat_anomalies.append(a)
                 _trace_finding(engine, a, "anomaly")
             engine.charge_rule_evals(sensor, evals)
-            for peer in self.neighbors[sensor]:
-                _send(engine, sensor, peer, PacketKind.HEARTBEAT, {"window": window})
+            # one burst per sensor: its heartbeats, then its notices, to each peer
+            peers = self.neighbors[sensor]
+            burst = [engine.new_packet(PacketKind.HEARTBEAT, sensor, peer, control=True) for peer in peers]
             for a in found:
                 notice = {"anomaly": {"rule": a.rule.value, "suspect": a.suspect, "window": a.window}}
-                for peer in self.neighbors[sensor]:
-                    _send(engine, sensor, peer, PacketKind.REGIONAL_ALARM, notice)
+                burst.extend(
+                    engine.new_packet(PacketKind.REGIONAL_ALARM, sensor, peer, payload=notice, control=True)
+                    for peer in peers
+                )
+            engine.send(*burst)
 
 
 # ============================================================================

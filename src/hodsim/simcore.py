@@ -44,9 +44,24 @@ packet_size_bits.  Engine.send decides every fact about a hop once (the true
 transmit position, the cell it is traced and counted in, whether it counts
 toward that cell's PDR, whether it contends for a cluster's channel, its
 sampled RSSI) and carries them on the hop's _PendingTx record; resolution,
-delivery and overhearing read the record and decide nothing again.  One writer
-traces every hop row (tx, drop, rx, overheard rx) and one every node row (idle
-and rule_eval charges, findings).
+delivery and overhearing read the record and decide nothing again.  A link's
+transmit energy and zero-shadowing RSSI are fixed by its ends, so each
+(transmit position, receiver) pair is priced once and kept; the shadowing
+draw is still made per hop, in send order.  The engine traces every hop row
+(tx, drop, rx, overheard rx) where it decides it, and trace_node_event every
+node row (idle and rule_eval charges, findings).
+
+Bursts: Engine.send(*packets) transmits its packets in order at the current
+time and traces each tx row at once; then one heap entry resolves them all,
+in send order, one hop latency later.  That is the order in which k single
+sends would resolve: every hop of the burst resolves at now +
+per_hop_latency_us; the k entries would take k consecutive sequence numbers,
+since nothing is scheduled while the burst is sent, so no other entry falls
+between them; and anything a resolution schedules takes a later sequence
+number than all of them.  A monitor's window step sends one burst per sender
+step (FlatMonitors one per sensor, HodMonitors one per cluster step, one per
+regional step and one for the data reports); a sensor report, a detour relay
+and an attack emission are bursts of one.
 
 Overhearing: the registered overhearing sensors that hear a transmit position
 at zero shadowing are found once, on the first data send from that position
@@ -452,8 +467,11 @@ class Engine:
         self._truth_ids: set[int] = set()
         # transmit position -> its overhearing sensors, filled on its first data send
         self._listeners: dict[tuple[float, float], list[tuple[int, Node, float]]] = {}
-        # every hop is packet_size_bits long, so every reception costs the same
+        # every hop is packet_size_bits long, so every reception costs the same,
+        # and a link's transmit cost and zero-shadowing RSSI are fixed by its ends:
+        # (transmit position, receiver) -> (tx energy J, deterministic RSSI dBm)
         self._rx_j = config.energy.rx_energy_j(config.energy.packet_size_bits)
+        self._links: dict[tuple[tuple[float, float], int], tuple[float, float]] = {}
 
     # ------------------------------------------------------------------ utils
 
@@ -517,36 +535,6 @@ class Engine:
 
     # ------------------------------------------------------------------ trace
 
-    def _trace_hop(
-        self,
-        event_kind: str,
-        packet: Packet,
-        dst: int,
-        cell: HexCoord | None,
-        outcome: str,
-        rssi: float | None,
-        joules: float,
-        control: bool = False,
-    ) -> None:
-        """Trace one hop event: tx, drop, rx or overheard rx."""
-        # positional, in field order, and _value_ rather than the slower
-        # Enum.value property: this runs for every hop event
-        self.log.events.append(
-            TraceEvent(
-                self.now,
-                event_kind,
-                packet.src,
-                dst,
-                cell,
-                outcome,
-                rssi,
-                joules * 1e6,
-                packet.packet_id,
-                packet.kind._value_,
-                control,
-            )
-        )
-
     def trace_node_event(
         self,
         node: int,
@@ -584,79 +572,86 @@ class Engine:
 
     # ------------------------------------------------------------------- send
 
-    def send(self, packet: Packet) -> None:
-        """Transmit a packet at the current time.
+    def send(self, *packets: Packet) -> None:
+        """Transmit packets, in order, at the current time: one burst.
 
-        Silent-compromised nodes transmit nothing.  The sender pays transmit
-        energy whether or not the packet will be delivered; delivery resolves
-        one hop latency later.  Every fact about the hop is decided here and
-        carried on its _PendingTx record to delivery.
+        Silent-compromised nodes transmit nothing.  Each sender pays transmit
+        energy whether or not its packet will be delivered, and each tx row is
+        traced at once; delivery resolves one hop latency later, the whole
+        burst in one heap entry (see Bursts above).  Every fact about a hop is
+        decided here and carried on its _PendingTx record to delivery.
         """
         radio = self.config.radio
         nodes = self.topology.nodes
-        if packet.phantom_pos is None:
-            transmitter: int | None = packet.src
-            src_node = nodes[packet.src]
-            if active_at(self.compromise, packet.src, self.now) is CompromiseMode.SILENT:
-                return
-            if src_node.role is NodeRole.SENSOR and not packet.control:
-                # a sensor's data plane only transmits inside its wake window
-                if not is_awake(self.smac[src_node.cell], self.now):
-                    raise AssertionError(
-                        f"sensor {packet.src} transmitting outside wake window at {self.now}"
-                    )
-            tx_pos = self._positions[packet.src]
-            cell = src_node.cell
-        else:
-            transmitter = None  # external attacker hardware is not metered
-            tx_pos = packet.phantom_pos
-            cell = nodes[packet.origin].cell
-        counted = transmitter is not None and cell is not None and not packet.long_range
-        dst_node = nodes[packet.dst]
-        distance = math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y)
+        now = self.now
+        log = self.log
+        trace = log.events.append
+        compromise = self.compromise
+        links = self._links
+        sigma = radio.shadowing_sigma_db
+        reliable = radio.long_range_reliable
+        end_us = now + radio.airtime_us
+        hops = []
+        for packet in packets:
+            src = packet.src
+            dst = packet.dst
+            kind = packet.kind._value_  # _value_: the Enum.value property is slower
+            control = packet.control
+            if packet.phantom_pos is None:
+                transmitter: int | None = src
+                src_node = nodes[src]
+                if src in compromise and active_at(compromise, src, now) is CompromiseMode.SILENT:
+                    continue
+                if src_node.role is NodeRole.SENSOR and not control:
+                    # a sensor's data plane only transmits inside its wake window
+                    if not is_awake(self.smac[src_node.cell], now):
+                        raise AssertionError(f"sensor {src} transmitting outside wake window at {now}")
+                tx_pos = self._positions[src]
+                cell = src_node.cell
+            else:
+                transmitter = None  # external attacker hardware is not metered
+                tx_pos = packet.phantom_pos
+                cell = nodes[packet.origin].cell
+            counted = transmitter is not None and cell is not None and not packet.long_range
+            link = links.get((tx_pos, dst))
+            if link is None:
+                dst_node = nodes[dst]
+                distance = math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y)
+                link = links[(tx_pos, dst)] = (
+                    self.config.energy.tx_energy_j(self.config.energy.packet_size_bits, distance),
+                    radio.deterministic_rssi(distance),
+                )
 
-        energy = 0.0
-        if transmitter is not None:
-            energy = self.config.energy.tx_energy_j(self.config.energy.packet_size_bits, distance)
-            self.log.meters[transmitter].tx_j += energy
-            counters = self.log.counters[transmitter]
-            kind = packet.kind._value_
-            counters.sent[kind] = counters.sent.get(kind, 0) + 1
-            if packet.control:
-                counters.control_sent += 1
-            if counted:
-                self._cell_sent[cell] += 1
-                if src_node.role is NodeRole.CLUSTER:
-                    self._record_carrier_sense(cell, tx_pos)
-        self._trace_hop("tx", packet, packet.dst, cell, "", None, energy, control=packet.control)
+            energy = 0.0
+            if transmitter is not None:
+                energy = link[0]
+                log.meters[transmitter].tx_j += energy
+                counters = log.counters[transmitter]
+                counters.sent[kind] = counters.sent.get(kind, 0) + 1
+                if control:
+                    counters.control_sent += 1
+                if counted:
+                    self._cell_sent[cell] += 1
+                    if src_node.role is NodeRole.CLUSTER:
+                        self._record_carrier_sense(cell, tx_pos)
+            # positional, in field order: keyword matching costs more than the rest
+            trace(TraceEvent(now, "tx", src, dst, cell, "", None, energy * 1e6, packet.packet_id, kind, control))
 
-        if packet.long_range and radio.long_range_reliable:
-            rssi, in_range, contends = None, True, False
-        else:
-            rssi = radio.rssi_at(distance, self._shadow_rng)
-            in_range = rssi >= radio.rx_sensitivity_dbm
-            contends = in_range and not packet.control and dst_node.role is NodeRole.CLUSTER
-        # positional, in field order: one per send, and keyword matching
-        # would cost more than the rest of the constructor
-        hop = _PendingTx(
-            self.now,
-            self.now + radio.airtime_us,
-            packet,
-            transmitter,
-            tx_pos,
-            cell,
-            counted,
-            contends,
-            rssi,
-            in_range,
-        )
-        if contends:
-            self._contending.setdefault(packet.dst, []).append(hop)
-        t_arrive = self.now + radio.per_hop_latency_us
-        if rssi is None:  # the reliable long-range channel always delivers
-            self.schedule(t_arrive, self._deliver, hop)
-        else:
-            self.schedule(t_arrive, self._resolve, hop)
+            if packet.long_range and reliable:
+                rssi, in_range, contends = None, True, False
+            else:
+                rssi = link[1]
+                if sigma > 0.0:
+                    rssi += self._shadow_rng.gauss(0.0, sigma)
+                in_range = rssi >= radio.rx_sensitivity_dbm
+                contends = in_range and not control and nodes[dst].role is NodeRole.CLUSTER
+            hop = _PendingTx(now, end_us, packet, transmitter, tx_pos, cell, counted, contends, rssi, in_range)
+            if contends:
+                self._contending.setdefault(dst, []).append(hop)
+            hops.append(hop)
+        if hops:
+            heapq.heappush(self._heap, (now + radio.per_hop_latency_us, self._seq, self._resolve, hops))
+            self._seq += 1
 
     def _record_carrier_sense(self, cell: HexCoord, pos: tuple[float, float]) -> None:
         radio = self.config.radio
@@ -667,54 +662,72 @@ class Engine:
         self._cell_cs_samples[cell].append(wait)
 
     def _collides(self, hop: _PendingTx) -> bool:
-        # slot collisions only matter on the shared data channel into a cluster
-        if not hop.contends:
-            return False
+        """Whether another send into the same cluster overlaps hop's airtime."""
         for other in self._contending[hop.packet.dst]:
             if other is not hop and other.start_us < hop.end_us and other.end_us > hop.start_us:
                 return True
         return False
 
-    def _resolve(self, hop: _PendingTx) -> None:
+    def _resolve(self, hops: list[_PendingTx]) -> None:
+        """Resolve one burst, hop by hop in send order: deliver or drop, overhear, prune."""
         radio = self.config.radio
-        packet = hop.packet
-        dst_node = self.topology.nodes[packet.dst]
-        outcome = Outcome.DELIVERED
-        if not hop.in_range:
-            outcome = Outcome.OUT_OF_RANGE
-        else:
-            interference = self.interference_dbm_at(dst_node.x, dst_node.y, hop.start_us, hop.end_us)
-            if hop.rssi_dbm - interference < radio.sinr_threshold_db:
-                outcome = Outcome.JAMMED
-            elif self._collides(hop):
-                outcome = Outcome.COLLISION
+        nodes = self.topology.nodes
+        now = self.now
+        log = self.log
+        trace = log.events.append
+        contending = self._contending
+        overheard = self.overheard
+        rx_j = self._rx_j
+        rx_uj = rx_j * 1e6
+        # a burst's hops share one airtime, so a jammer is on for all of them or for none
+        start_us, end_us = hops[0].start_us, hops[0].end_us
+        jammed = any(j.start_us < end_us and j.end_us > start_us for j in self.interference)
+        for hop in hops:
+            packet = hop.packet
+            dst = packet.dst
+            rssi = hop.rssi_dbm
+            outcome = Outcome.DELIVERED
+            if rssi is None:  # the reliable long-range channel always delivers
+                pass
+            elif not hop.in_range:
+                outcome = Outcome.OUT_OF_RANGE
+            else:
+                interference = radio.noise_floor_dbm
+                if jammed:
+                    dst_node = nodes[dst]
+                    interference = self.interference_dbm_at(dst_node.x, dst_node.y, start_us, end_us)
+                if rssi - interference < radio.sinr_threshold_db:
+                    outcome = Outcome.JAMMED
+                elif hop.contends and self._collides(hop):
+                    outcome = Outcome.COLLISION
 
-        if outcome is Outcome.DELIVERED:
-            self._deliver(hop)
-        else:
-            self._trace_hop("drop", packet, packet.dst, hop.cell, outcome._value_, hop.rssi_dbm, 0.0)
-        self._overhear(hop)
-        # Every hop resolves one latency after it starts, so every send still
-        # unresolved started no earlier than this one: an entry that ended
-        # before this one started can collide with nothing any more.
-        lst = self._contending.get(packet.dst)
-        if lst is not None:
-            self._contending[packet.dst] = [p for p in lst if p.end_us > hop.start_us]
-
-    def _deliver(self, hop: _PendingTx) -> None:
-        packet = hop.packet
-        dst = packet.dst
-        self.log.meters[dst].rx_j += self._rx_j
-        if hop.counted:
-            self._cell_delivered[hop.cell] += 1
-        if packet.packet_id in self._truth_ids:
-            self.log.delivered_to[packet.packet_id] = dst
-        self._trace_hop("rx", packet, dst, hop.cell, Outcome.DELIVERED._value_, hop.rssi_dbm, self._rx_j)
-        if dst in self.inboxes:
-            self.inboxes[dst].append((self.now, packet))
-        dst_node = self.topology.nodes[dst]
-        if dst_node.role is NodeRole.SENSOR and packet.kind is PacketKind.SENSOR_DATA:
-            self._relay_onward(packet, dst)
+            kind = packet.kind
+            if outcome is Outcome.DELIVERED:
+                log.meters[dst].rx_j += rx_j
+                if hop.counted:
+                    self._cell_delivered[hop.cell] += 1
+                if packet.packet_id in self._truth_ids:
+                    log.delivered_to[packet.packet_id] = dst
+                trace(TraceEvent(now, "rx", packet.src, dst, hop.cell, "Delivered", rssi, rx_uj,
+                                 packet.packet_id, kind._value_, False))
+                inbox = self.inboxes.get(dst)
+                if inbox is not None:
+                    inbox.append((now, packet))
+                if kind is PacketKind.SENSOR_DATA and nodes[dst].role is NodeRole.SENSOR:
+                    self._relay_onward(packet, dst)
+            else:
+                trace(TraceEvent(now, "drop", packet.src, dst, hop.cell, outcome._value_, rssi, 0.0,
+                                 packet.packet_id, kind._value_, False))
+            if rssi is None:
+                continue  # nothing overhears or contends on the reliable channel
+            if overheard and kind in DATA_KINDS:
+                self._overhear(hop, jammed)
+            # Every hop resolves one latency after it starts, so every send still
+            # unresolved started no earlier than this one: an entry that ended
+            # before this one started can collide with nothing any more.
+            lst = contending.get(dst)
+            if lst is not None:
+                contending[dst] = [p for p in lst if p.end_us > start_us]
 
     def _relay_onward(self, packet: Packet, relay: int) -> None:
         """Second hop of a detoured intra-cell route (attack machinery)."""
@@ -748,19 +761,16 @@ class Engine:
                 listeners.append((sensor_id, node, det))
         return listeners
 
-    def _overhear(self, hop: _PendingTx) -> None:
-        """Flat-baseline promiscuous listening on data-plane transmissions.
+    def _overhear(self, hop: _PendingTx, jammed: bool) -> None:
+        """Flat-baseline promiscuous listening on one data-plane transmission.
 
         A transmit position's listeners (_listeners_at, candidates from
         Topology.within) are found on the first data send from it and kept,
         for metered and phantom sends alike.  Each send skips its transmitter
-        and its destination and runs the jammer SINR test per listener.
+        and its destination and runs the jammer SINR test per listener;
+        jammed says whether any jammer is on during the hop's airtime.
         """
-        if not self.overheard:
-            return
         packet = hop.packet
-        if packet.kind not in DATA_KINDS:
-            return
         listeners = self._listeners.get(hop.tx_pos)
         if listeners is None:
             listeners = self._listeners[hop.tx_pos] = self._listeners_at(hop.tx_pos)
@@ -769,11 +779,14 @@ class Engine:
         for sensor_id, node, det in listeners:
             if sensor_id == packet.dst or sensor_id == hop.transmitter:
                 continue
-            interference = self.interference_dbm_at(node.x, node.y, hop.start_us, hop.end_us)
+            interference = radio.noise_floor_dbm
+            if jammed:
+                interference = self.interference_dbm_at(node.x, node.y, hop.start_us, hop.end_us)
             if det - interference < radio.sinr_threshold_db:
                 continue
             self.log.meters[sensor_id].rx_j += rx_j
-            self._trace_hop("rx", packet, sensor_id, node.cell, "Overheard", det, rx_j)
+            self.log.events.append(TraceEvent(self.now, "rx", packet.src, sensor_id, node.cell, "Overheard", det,
+                                              rx_j * 1e6, packet.packet_id, packet.kind._value_, False))
             self.overheard[sensor_id].append((self.now, packet))
 
     # ------------------------------------------------------------- run window

@@ -20,6 +20,8 @@ from hodsim import cli
 from hodsim.cli import main
 from hodsim.config import ScenarioConfig
 from hodsim.metrics import rows_to_csv, run_scenario
+from hodsim.simcore import RunLog, TraceEvent
+from hodsim.topology import HexCoord
 
 SCENARIO = """\
 topology:
@@ -329,23 +331,49 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "scenario.yaml"]
 
     def test_trace_write_failing_part_way_leaves_no_partial_file(self, cfg, tmp_path, capsys, monkeypatch):
-        real_tuples = cli._trace_tuples
-        calls = []
+        real_open = cli._OutputSet.open
+        traces = []
+        stored = []
 
-        def failing_tuples(events):
-            # the second trace (flat, seed 3) fails at its 20th row, after its first rows are formatted
-            calls.append(None)
-            for i, row in enumerate(real_tuples(events)):
-                if len(calls) == 2 and i == 20:
-                    raise RuntimeError("disk gone")
-                yield row
+        class DiskFillsUp:
+            """A trace file that stores half of its first chunk of rows, then fails."""
 
-        monkeypatch.setattr(cli, "_trace_tuples", failing_tuples)
+            def __init__(self, fh):
+                self.fh = fh
+                self.head = 0  # characters of the header block and the column row
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                if text.startswith(("#", "time_us,")):
+                    self.head += len(text)
+                    return self.fh.write(text)
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                stored.append((self.head, Path(self.fh.name).stat().st_size))
+                raise OSError(28, "No space left on device")
+
+        def open_output(outputs, name):
+            fh = real_open(outputs, name)
+            if name.startswith("trace_"):
+                traces.append(name)
+                if len(traces) == 2:  # the second trace: flat, seed 3
+                    return DiskFillsUp(fh)
+            return fh
+
+        monkeypatch.setattr(cli._OutputSet, "open", open_output)
         out = tmp_path / "out"
         assert run_cli(cfg, out, "--mode", "compare", "--seed", "3") == 3
-        assert "disk gone" in capsys.readouterr().err
-        assert len(calls) == 2
-        # the first trace and summary, and the flat trace cut off at its 20th row, are all gone
+        assert "No space left on device" in capsys.readouterr().err
+        assert traces == ["trace_hod_3.csv", "trace_flat_3.csv"]
+        # the flat trace held its header and part of its rows when the write failed
+        [(head, size)] = stored
+        assert 0 < head < size
+        # the first trace and summary, and the flat trace cut off part-way, are all gone
         assert not list(out.iterdir())
 
 
@@ -525,6 +553,17 @@ class TestTraceWriter:
             buf = io.StringIO()
             cli.write_trace(log, buf)
             assert buf.getvalue() == cli._header(log) + rows_to_csv(cli._trace_rows(log))
+
+    def test_fields_needing_quotes_are_quoted_as_the_csv_module_quotes_them(self):
+        log = RunLog("flat", 1, "h", {}, 3_000_000, 1_000_000, 3)
+        strings = ["plain", "a,b", 'say "hi"', '"', "cr\rlf\n", ""]
+        for i, text in enumerate(strings):
+            for cell, rssi in ((None, None), (HexCoord(-1, 2), -71.234)):
+                log.events.append(TraceEvent(i, "tx", i, None, cell, text, rssi, 1.5 * i, i, text[::-1], bool(i % 2)))
+                log.events.append(TraceEvent(i, "anomaly", None, i, cell, "", None, 0.0, None, text, False))
+        buf = io.StringIO()
+        cli.write_trace(log, buf)
+        assert buf.getvalue() == cli._header(log) + rows_to_csv(cli._trace_rows(log))
 
     def test_no_events_writes_the_header_block_only(self):
         log, _ = run_scenario(ScenarioConfig.from_file(str(EXAMPLES / "jamming.yaml")), "hod", 1)

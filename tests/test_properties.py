@@ -11,16 +11,24 @@ interval holds no admissible emission time (AttackSpecError) are discarded.
 An alarm raised at window w reaches the base at step w + 2, and a copy resent
 one step later at w + 3.  So only a run of at least w + 4 windows shows a
 cluster that resends a delivered alarm, as two base records with one dedup
-key; the horizons reach 6 windows so that the drawn runs guard the ack.
+key.  The horizons reach 6 windows, but whether a draw holds such a run
+depends on the draw, and any edit to the test redraws it; so one pinned
+example, ALARM_IN_WINDOW_0, always does.
+
+Every run's trace is also written by cli.write_trace and compared with the
+csv module's formatting of the same rows.
 """
 
-from hypothesis import assume, given, settings
+import io
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_energy_ledger_consistent, assert_trace_replays, serialize_log
 from hodsim.attacks import AttackKind, AttackSpec, AttackSpecError
+from hodsim.cli import _header, _trace_rows, write_trace
 from hodsim.config import ScenarioConfig, SimSection, TopologyConfig
-from hodsim.metrics import run_scenario, score
+from hodsim.metrics import rows_to_csv, run_scenario, score
 from hodsim.simcore import RadioModel
 from hodsim.topology import NodeRole, build_hex_grid
 
@@ -84,13 +92,29 @@ def _run(scenario, mode):
         assume(False)
 
 
+# A slot violation in window 0 of a 4-window run: the one alarm reaches the base
+# at step 2, so a cluster that resent it after delivery would record it twice.
+ALARM_IN_WINDOW_0 = ScenarioConfig(
+    topology=TopologyConfig(rings=0, sensors_per_cell=2),
+    sim=SimSection(horizon_windows=4),
+    attacks=[
+        AttackSpec(kind=AttackKind.SLOT_SPOOF, start_us=0, end_us=W, cell=(0, 0), packet_count=1, sensor_index=0)
+    ],
+    seed=1,
+)
+
+
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(scenarios())
+@example(ALARM_IN_WINDOW_0)
 def test_random_scenarios_keep_the_invariants(scenario):
     for mode in ("hod", "flat"):
         log, topo = _run(scenario, mode)
         rerun, _ = _run(scenario, mode)
         assert serialize_log(rerun) == serialize_log(log)
+        trace = io.StringIO()
+        write_trace(log, trace)
+        assert trace.getvalue() == _header(log) + rows_to_csv(_trace_rows(log))
         assert_energy_ledger_consistent(log)
         assert_trace_replays(log)
         score(log, topo, scenario.thresholds)  # raises if the control ledgers disagree

@@ -289,6 +289,57 @@ class TestDeliveryOutcomes:
         assert all(s.sent == s.delivered == 0 for s in eng.log.window_stats[0].values())
 
 
+class TestBursts:
+    """Engine.send(*packets) resolves as the same packets sent one by one would."""
+
+    def twin(self, sigma):
+        eng = make_engine(sensors_per_cell=3, radio=RadioModel(shadowing_sigma_db=sigma))
+        topo = eng.topology
+        eng.overheard = {s: [] for s in topo.sensor_ids()}  # the flat baseline's listening
+        cell_a, cell_b = sorted(topo.cells)[:2]
+        silent = topo.cluster_of(cell_b)
+        eng.compromise[silent] = [(0, 10**7, CompromiseMode.SILENT)]
+        a1, a2, a3 = topo.sensors_of(cell_a)
+        cluster = topo.cluster_of(cell_a)
+        regional = topo.regional_of_cell(cell_a)
+        packets = [
+            data_packet(eng, a1, cluster),
+            data_packet(eng, silent, topo.regional_of_cell(cell_b), control=True),
+            data_packet(eng, regional, topo.base_id, long_range=True),  # the reliable channel
+            data_packet(eng, a2, cluster),  # overlaps the first send into the cluster
+            data_packet(eng, a3, a1),  # a detour: delivered to a sensor, relayed onward
+            dataclasses.replace(data_packet(eng, cluster, regional), kind=PacketKind.CLUSTER_REPORT),
+        ]
+        return eng, packets
+
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    def test_a_burst_resolves_as_its_packets_sent_one_by_one(self, sigma):
+        burst, packets = self.twin(sigma)
+        burst.send(*packets)
+        assert len(burst._heap) == 1  # one heap entry resolves the whole burst
+        single, twin_packets = self.twin(sigma)
+        for packet in twin_packets:
+            single.send(packet)
+        assert len(single._heap) == len(packets) - 1  # the silent sender sent nothing
+        assert serialize_log(burst.run()) == serialize_log(single.run())
+        if sigma:
+            return
+        hops = [e for e in burst.log.events if e.outcome != "Overheard"]
+        outcomes = {e.packet_id: e.outcome for e in hops if e.event_kind in ("rx", "drop")}
+        first, silent, long_range, second, detour, report = (p.packet_id for p in packets)
+        assert outcomes[first] == outcomes[second] == Outcome.COLLISION.value
+        assert silent not in outcomes
+        assert outcomes[long_range] == outcomes[report] == Outcome.DELIVERED.value
+        # the detour's second hop, scheduled while the burst resolved, was sent and delivered
+        assert [e.event_kind for e in hops if e.packet_id == detour] == ["tx", "rx", "tx", "rx"]
+        assert any(e.outcome == "Overheard" for e in burst.log.events)
+
+    def test_an_all_silent_burst_leaves_no_heap_entry(self):
+        eng, packets = self.twin(0.0)
+        eng.send(packets[1])
+        assert eng._heap == []
+
+
 class TestEngineMechanics:
     def test_log_reports_the_scenario_the_engine_holds(self):
         eng = make_engine(seed=5, horizon_windows=2)
@@ -524,10 +575,10 @@ class TestOverhearListeners:
                 scanned[distance_m] += 1
             return rssi(self, distance_m, *args, **kwargs)
 
-        def flagged_overhear(self, hop):
+        def flagged_overhear(self, *args):
             in_overhear[0] = True
             try:
-                overhear(self, hop)
+                overhear(self, *args)
             finally:
                 in_overhear[0] = False
 
@@ -596,9 +647,9 @@ def test_sending_never_changes_a_packet(monkeypatch):
     sent = []
     send = Engine.send
 
-    def recording_send(self, packet):
-        sent.append((packet, dataclasses.astuple(packet)))
-        return send(self, packet)
+    def recording_send(self, *packets):
+        sent.extend((packet, dataclasses.astuple(packet)) for packet in packets)
+        return send(self, *packets)
 
     monkeypatch.setattr(Engine, "send", recording_send)
     run_scenario(ScenarioConfig.from_file(str(EXAMPLES / "route_deviation.yaml")), "hod", 1)
