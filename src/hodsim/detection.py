@@ -661,13 +661,10 @@ class FlatMonitors:
             engine.charge_rule_evals(sensor, evals)
             # one burst per sensor: its heartbeats, then its notices, to each peer
             peers = self.neighbors[sensor]
-            burst = [engine.new_packet(PacketKind.HEARTBEAT, sensor, peer, control=True) for peer in peers]
+            burst = engine.fan_out(PacketKind.HEARTBEAT, sensor, peers, control=True)
             for a in found:
                 notice = {"anomaly": {"rule": a.rule.value, "suspect": a.suspect, "window": a.window}}
-                burst.extend(
-                    engine.new_packet(PacketKind.REGIONAL_ALARM, sensor, peer, payload=notice, control=True)
-                    for peer in peers
-                )
+                burst += engine.fan_out(PacketKind.REGIONAL_ALARM, sensor, peers, payload=notice, control=True)
             engine.send(*burst)
 
 

@@ -7,11 +7,11 @@ and derives the run log's scenario hash and config echo from it, so a run
 always reports the configuration it ran.
 
 Everything runs on an integer microsecond clock.  Each event is a handler and
-its one argument (a hop record, a packet, a planned report or a window index),
-kept on the engine's binary heap as (time, sequence, handler, argument); the
-engine schedules no closures.  Events execute in strict (time, sequence) order,
-so identical inputs replay to byte-identical logs.  The engine is
-detection-agnostic: monitor layers (the hierarchical overlay or the flat
+its one argument (a burst's hop records, a packet, a planned report or a
+window index), kept on the engine's binary heap as (time, sequence, handler,
+argument); the engine schedules no closures.  Events execute in strict (time,
+sequence) order, so identical inputs replay to byte-identical logs.  The engine
+is detection-agnostic: monitor layers (the hierarchical overlay or the flat
 per-sensor baseline) attach as a hook object and are invoked once per
 aggregation window.  A monitor registers the receive buffers it reads (cluster
 and overlay inboxes, or promiscuous overhearing lists) and sends its own
@@ -33,10 +33,11 @@ and keep no copy of their own.
 Workload: every periodic sensor report of the run is planned as integers when
 the run starts.  Its jitter, packet id, any RouteDeviation ground truth and its
 heap sequence number are fixed then, in (cell, sensor, report) order, and it is
-kept as (time, sequence, packet id, sensor, destination).  Only the next report
-sits on the heap; its Packet is built when it is sent, so a run holds the
-packets in flight rather than every report of the horizon, and equal-time ties
-resolve as if each report had been scheduled at the start.
+kept as (time, sequence, packet id, sensor, destination).  The reports of one
+instant sit on the heap as one entry, under the first one's sequence number,
+and only the next instant's do; their Packets are built when they are sent, so
+a run holds the packets in flight rather than every report of the horizon, and
+equal-time ties resolve as if each report had been scheduled at the start.
 
 Hops: a Packet carries only its header (ids, kind, payload and flags); no
 send or delivery changes it, and every hop is priced at the configured
@@ -60,8 +61,14 @@ since nothing is scheduled while the burst is sent, so no other entry falls
 between them; and anything a resolution schedules takes a later sequence
 number than all of them.  A monitor's window step sends one burst per sender
 step (FlatMonitors one per sensor, HodMonitors one per cluster step, one per
-regional step and one for the data reports); a sensor report, a detour relay
-and an attack emission are bursts of one.
+regional step and one for the data reports); a detour relay and an attack
+emission are bursts of one.  The sensor reports planned for one instant go out
+as one burst, in plan order, which is again the order of single sends: their
+sequence numbers, given in run(), are above those of every entry scheduled
+before the run (window boundaries, attack emissions) and below those of every
+entry scheduled during it, and a report's send schedules nothing at its own
+instant (per_hop_latency_us > 0), so the reports of one instant already ran
+back to back.
 
 Overhearing: the registered overhearing sensors that hear a transmit position
 at zero shadowing are found once, on the first data send from that position
@@ -498,6 +505,22 @@ class Engine:
             {} if payload is None else payload, control, long_range, phantom_pos,
         )
 
+    def fan_out(
+        self,
+        kind: PacketKind,
+        src: int,
+        dsts: list[int],
+        *,
+        payload: dict[str, Any] | None = None,
+        control: bool = False,
+    ) -> list[Packet]:
+        """One packet from src to each of dsts, with consecutive ids in dsts order; they share one payload."""
+        first = self._packet_seq
+        self._packet_seq = first + len(dsts)
+        if payload is None:
+            payload = {}
+        return [Packet(packet_id, kind, src, src, dst, payload, control) for packet_id, dst in enumerate(dsts, first)]
+
     def schedule(self, t: SimTime, handler: Callable[[Any], object], arg: Any) -> None:
         """Call handler(arg) at time t; equal times fire in schedule order."""
         if t < self.now:
@@ -845,35 +868,38 @@ class Engine:
         horizon = self.log.horizon_us
         interval = wl.report_interval_us
         jitter_span = int(interval * wl.jitter_frac)
+        # randint(a, b) is randrange(a, b + 1): the same draws, one call fewer
+        draw = self._jitter_rng.randrange
+        overrides = self.route_overrides
+        seq = self._seq
+        packet_id = self._packet_seq
         reports = []
         for cell in self.topology.cells:
             tdma = self.tdma[cell]
             smac = self.smac[cell]
             cluster = self.topology.cluster_of(cell)
             for sensor in self.topology.sensors_of(cell):
-                k = 0
-                while True:
-                    nominal = k * interval
-                    if nominal >= horizon:
-                        break
-                    jitter = self._jitter_rng.randint(-jitter_span, jitter_span) if jitter_span else 0
+                for nominal in range(0, horizon, interval):
+                    jitter = draw(-jitter_span, jitter_span + 1) if jitter_span else 0
                     t = next_compliant_slot(tdma, smac, sensor, max(nominal + jitter, 0))
-                    if t < horizon:
-                        relay = active_at(self.route_overrides, sensor, t)
-                        packet_id = self.next_packet_id()
-                        if relay is not None:
-                            self.log.ground_truth.append(
-                                GroundTruthEvent(
-                                    time_us=t,
-                                    kind="RouteDeviation",
-                                    target=suspect_node(sensor),
-                                    detail=f"detour via node {relay}",
-                                    packet_id=packet_id,
-                                )
+                    if t >= horizon:
+                        continue
+                    relay = active_at(overrides, sensor, t) if sensor in overrides else None
+                    if relay is not None:
+                        self.log.ground_truth.append(
+                            GroundTruthEvent(
+                                time_us=t,
+                                kind="RouteDeviation",
+                                target=suspect_node(sensor),
+                                detail=f"detour via node {relay}",
+                                packet_id=packet_id,
                             )
-                        reports.append((t, self._seq, packet_id, sensor, cluster if relay is None else relay))
-                        self._seq += 1
-                    k += 1
+                        )
+                    reports.append((t, seq, packet_id, sensor, cluster if relay is None else relay))
+                    seq += 1
+                    packet_id += 1
+        self._seq = seq
+        self._packet_seq = packet_id
         # latest first, so the next report is popped off the end
         reports.sort(reverse=True)
         self._reports = reports
@@ -886,9 +912,15 @@ class Engine:
             heapq.heappush(self._heap, (report[0], report[1], self._send_report, report))
 
     def _send_report(self, report: tuple[SimTime, int, int, int, int]) -> None:
-        _t, _seq, packet_id, sensor, dst = report
+        """Send report and every later planned report at its time, in plan order: one burst."""
+        t, _seq, packet_id, sensor, dst = report
+        reports = self._reports
+        packets = [Packet(packet_id, PacketKind.SENSOR_DATA, sensor, sensor, dst)]
+        while reports and reports[-1][0] == t:
+            _t, _seq, packet_id, sensor, dst = reports.pop()
+            packets.append(Packet(packet_id, PacketKind.SENSOR_DATA, sensor, sensor, dst))
         self._schedule_next_report()
-        self.send(Packet(packet_id, PacketKind.SENSOR_DATA, sensor, sensor, dst))
+        self.send(*packets)
 
     def run(self) -> RunLog:
         """Execute the scenario to its horizon and return the completed log.

@@ -19,6 +19,7 @@ from conftest import assert_energy_ledger_consistent, make_engine, serialize_log
 from hodsim.attacks import AttackKind, AttackSpec, apply_attacks
 from hodsim.config import ScenarioConfig
 from hodsim.detection import FlatMonitors, HodMonitors
+from hodsim.mac import next_compliant_slot
 from hodsim.metrics import run_scenario
 from hodsim.simcore import (
     CompromiseMode,
@@ -32,6 +33,7 @@ from hodsim.simcore import (
     PacketKind,
     RadioModel,
     WorkloadConfig,
+    active_at,
     power_sum_dbm,
 )
 from hodsim.topology import HexCoord, NodeRole, axial_to_xy, build_topology, suspect_node
@@ -338,6 +340,186 @@ class TestBursts:
         eng, packets = self.twin(0.0)
         eng.send(packets[1])
         assert eng._heap == []
+
+
+class _OneReportPerEntry(Engine):
+    """The workload path before report bursts: a randint plan, and one heap entry and one send per report."""
+
+    def _plan_workload(self):
+        wl = self.config.workload
+        if not wl.sensors_enabled:
+            return
+        horizon = self.log.horizon_us
+        interval = wl.report_interval_us
+        jitter_span = int(interval * wl.jitter_frac)
+        reports = []
+        for cell in self.topology.cells:
+            tdma = self.tdma[cell]
+            smac = self.smac[cell]
+            cluster = self.topology.cluster_of(cell)
+            for sensor in self.topology.sensors_of(cell):
+                k = 0
+                while True:
+                    nominal = k * interval
+                    if nominal >= horizon:
+                        break
+                    jitter = self._jitter_rng.randint(-jitter_span, jitter_span) if jitter_span else 0
+                    t = next_compliant_slot(tdma, smac, sensor, max(nominal + jitter, 0))
+                    if t < horizon:
+                        relay = active_at(self.route_overrides, sensor, t)
+                        packet_id = self.next_packet_id()
+                        if relay is not None:
+                            self.log.ground_truth.append(
+                                GroundTruthEvent(
+                                    time_us=t,
+                                    kind="RouteDeviation",
+                                    target=suspect_node(sensor),
+                                    detail=f"detour via node {relay}",
+                                    packet_id=packet_id,
+                                )
+                            )
+                        reports.append((t, self._seq, packet_id, sensor, cluster if relay is None else relay))
+                        self._seq += 1
+                    k += 1
+        reports.sort(reverse=True)
+        self._reports = reports
+        self._schedule_next_report()
+
+    def _send_report(self, report):
+        _t, _seq, packet_id, sensor, dst = report
+        self._schedule_next_report()
+        self.send(Packet(packet_id, PacketKind.SENSOR_DATA, sensor, sensor, dst))
+
+
+def planned_reports(eng):
+    """Every report eng planned, in the order they go out."""
+    first = [arg for _t, _seq, handler, arg in eng._heap if handler == eng._send_report]
+    return first + eng._reports[::-1]
+
+
+class TestReportBursts:
+    """The reports planned for one instant go out as one burst, as one entry and one send per report did."""
+
+    def engine(self, cls, sigma, mode, attacks=()):
+        eng = make_engine(
+            sensors_per_cell=3,
+            mode=mode,
+            radio=RadioModel(shadowing_sigma_db=sigma),
+            workload=WorkloadConfig(),
+            horizon_windows=3,
+            attacks=attacks,
+        )
+        if cls is not Engine:
+            eng = cls(eng.config, seed=eng.seed, mode=mode)
+        (HodMonitors if mode == "hod" else FlatMonitors)(eng)
+        apply_attacks(eng)
+        return eng
+
+    def attacks(self):
+        """A detour whose relayed hop goes out at an instant where two other cells report, and a
+        SlotSpoof emission at that instant into the cluster of one of those reports.
+
+        Returns the attacks, the instant, and the sensor whose report the forgery collides with.
+        """
+        probe = self.engine(Engine, 0.0, "hod")
+        probe._plan_workload()
+        plan = planned_reports(probe)
+        reporters = {}
+        for t, _seq, _pid, sensor, _dst in plan:
+            reporters.setdefault(t, []).append(sensor)
+        topo = probe.topology
+        for t, _seq, _pid, victim, _dst in plan:
+            cell = topo.node(victim).cell
+            resolved = t + probe.config.radio.per_hop_latency_us
+            relay_t = next_compliant_slot(probe.tdma[cell], probe.smac[cell], victim, resolved)
+            others = [s for s in reporters.get(relay_t, ()) if topo.node(s).cell != cell]
+            if len(others) >= 2:
+                break
+        else:
+            pytest.fail("no detour lands on an instant where two other cells report")
+        collided = others[0]
+        spoofed_cell = topo.node(collided).cell
+        forged = next(i for i, s in enumerate(topo.sensors_of(spoofed_cell)) if s != collided)
+        attacks = [
+            AttackSpec(
+                kind=AttackKind.ROUTE_DEVIATION, start_us=t, end_us=t + 1, cell=cell,
+                sensor_index=topo.sensors_of(cell).index(victim),
+            ),
+            AttackSpec(
+                kind=AttackKind.SLOT_SPOOF, start_us=relay_t, end_us=relay_t + 1, cell=spoofed_cell,
+                sensor_index=forged, packet_count=1,
+            ),
+        ]
+        return attacks, relay_t, collided
+
+    def test_the_plan_is_the_randint_plan(self):
+        attacks, _t, _collided = self.attacks()
+        real, oracle = (self.engine(cls, 4.0, "hod", attacks) for cls in (Engine, _OneReportPerEntry))
+        for eng in (real, oracle):
+            eng._plan_workload()
+        assert real._reports == oracle._reports
+        assert [e[:2] + e[3:] for e in real._heap] == [e[:2] + e[3:] for e in oracle._heap]
+        assert (real._seq, real._packet_seq) == (oracle._seq, oracle._packet_seq)
+        assert real.log.ground_truth == oracle.log.ground_truth
+        assert any(gt.kind == "RouteDeviation" for gt in real.log.ground_truth)
+
+    @pytest.mark.parametrize("mode", ["hod", "flat"])
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    def test_a_burst_per_instant_runs_as_a_send_per_report(self, sigma, mode):
+        attacks, instant, collided = self.attacks()
+        real = self.engine(Engine, sigma, mode, attacks)
+        oracle = self.engine(_OneReportPerEntry, sigma, mode, attacks)
+        bursts = {real: [], oracle: []}
+        report_entries = []  # planned-report entries on the real engine's heap, at each of its sends
+        for eng in (real, oracle):
+            send = eng.send
+
+            def recording_send(*packets, eng=eng, send=send):
+                if eng is real:
+                    report_entries.append(sum(entry[2] == real._send_report for entry in real._heap))
+                bursts[eng].append(packets)
+                return send(*packets)
+
+            eng.send = recording_send
+        real_log = real.run()
+        assert serialize_log(real_log) == serialize_log(oracle.run())
+        assert max(report_entries) == 1
+
+        fresh = self.engine(Engine, sigma, mode, attacks)
+        fresh._plan_workload()
+        planned = {}
+        for t, _seq, packet_id, _sensor, _dst in planned_reports(fresh):
+            planned.setdefault(t, []).append(packet_id)
+        planned_ids = {pid for ids in planned.values() for pid in ids}
+
+        def report_sends(eng):
+            # a relayed detour keeps its report's id but leaves from the relay
+            return [
+                [p.packet_id for p in burst]
+                for burst in bursts[eng]
+                if burst[0].packet_id in planned_ids and burst[0].src == burst[0].origin
+            ]
+
+        # one send per distinct report instant, holding that instant's reports in plan order
+        assert report_sends(real) == list(planned.values())
+        assert report_sends(oracle) == [[pid] for ids in planned.values() for pid in ids]
+        if sigma:
+            return
+        # the instant holds what the scenario claims: reports of several cells, the forgery, the relayed detour
+        at = [e for e in real_log.events if e.event_kind == "tx" and e.time_us == instant]
+        reports = [e for e in at if e.pkt_kind == "SensorData" and e.packet_id in planned[instant]]
+        assert len({e.cell for e in reports}) >= 2
+        assert [e.pkt_kind for e in at].count("AttackTraffic") == 1
+        relayed = [e for e in at if e.pkt_kind == "SensorData" and e.packet_id not in planned[instant]]
+        assert len(relayed) == 1 and relayed[0].packet_id in planned_ids
+        resolved = instant + real.config.radio.per_hop_latency_us
+        cluster = real.topology.cluster_of(real.topology.node(collided).cell)
+        collisions = [
+            e.pkt_kind
+            for e in real_log.events
+            if e.time_us == resolved and e.outcome == Outcome.COLLISION.value and e.dst == cluster
+        ]
+        assert sorted(collisions) == ["AttackTraffic", "SensorData"]
 
 
 class TestEngineMechanics:
