@@ -387,13 +387,13 @@ def watchdog_check(
             f"illegal watchdog pair {pair[0].value} -> {pair[1].value}; the hierarchy "
             "monitors exactly one layer down"
         )
+    # the suspect string is built only for a rule that fires
     alerts: list[Alert] = []
     timeout = thresholds.heartbeat_timeout_windows
-    suspect = suspect_node(monitored_id)
     if window - last_seen_window >= timeout:
-        alerts.append(_new_alert(AlertRule.MISSED_HEARTBEAT, suspect, monitor_id, now, window))
+        alerts.append(_new_alert(AlertRule.MISSED_HEARTBEAT, suspect_node(monitored_id), monitor_id, now, window))
     if suppressed is not None and len(suppressed) >= timeout and all(suppressed[-timeout:]):
-        alerts.append(_new_alert(AlertRule.SUPPRESSED_ALERTS, suspect, monitor_id, now, window))
+        alerts.append(_new_alert(AlertRule.SUPPRESSED_ALERTS, suspect_node(monitored_id), monitor_id, now, window))
     return alerts
 
 

@@ -7,8 +7,8 @@ and derives the run log's scenario hash and config echo from it, so a run
 always reports the configuration it ran.
 
 Everything runs on an integer microsecond clock.  Each event is a handler and
-its one argument (a burst's hop records, a packet, a planned report or a
-window index), kept on the engine's binary heap as (time, sequence, handler,
+its one argument (a burst's airtime and hops, a packet, a planned report or
+a window index), kept on the engine's binary heap as (time, sequence, handler,
 argument); the engine schedules no closures.  Events execute in strict (time,
 sequence) order, so identical inputs replay to byte-identical logs.  The engine
 is detection-agnostic: monitor layers (the hierarchical overlay or the flat
@@ -41,16 +41,19 @@ equal-time ties resolve as if each report had been scheduled at the start.
 
 Hops: a Packet carries only its header (ids, kind, payload and flags); no
 send or delivery changes it, and every hop is priced at the configured
-packet_size_bits.  Engine.send decides every fact about a hop once (the true
-transmit position, the cell it is traced and counted in, whether it counts
-toward that cell's PDR, whether it contends for a cluster's channel, its
-sampled RSSI) and carries them on the hop's _PendingTx record; resolution,
-delivery and overhearing read the record and decide nothing again.  A link's
-transmit energy and zero-shadowing RSSI are fixed by its ends, so each
-(transmit position, receiver) pair is priced once and kept; the shadowing
-draw is still made per hop, in send order.  The engine traces every hop row
-(tx, drop, rx, overheard rx) where it decides it, and trace_node_event every
-node row (idle and rule_eval charges, findings).
+packet_size_bits.  What the ends of a link fix is looked up once: the first
+metered send from src to dst keeps a link record under (src, dst) with the
+transmit energy, the zero-shadowing RSSI, the transmit position, the sender's
+cell, meter and counters, its S-MAC schedule if it is a sensor (the wake
+guard), and whether the sender (carrier sense) and the receiver (contention)
+are clusters.  A phantom's zero-shadowing RSSI is kept per (forged position,
+receiver); the shadowing draw is made per hop, in send order.  Engine.send
+decides every other fact about a hop once, into a tuple (packet, transmitter
+or None for a phantom, transmit position, cell, counted toward its PDR,
+contends for a cluster's channel, sampled RSSI or None on the reliable
+channel, in range); a burst resolves from (start_us, end_us, hops), and
+nothing is decided again.  The engine traces every row (tx, drop, rx,
+overheard rx, idle, rule_eval, findings) where it decides it.
 
 Bursts: Engine.send(*packets) transmits its packets in order at the current
 time and traces each tx row at once; then one heap entry resolves them all,
@@ -82,7 +85,8 @@ transmission.  A packet is delivered iff its sampled RSSI clears the receiver
 sensitivity and the signal-to-interference ratio clears the SINR threshold
 against the noise floor plus any active jammers.  The summed jammer level at a
 position is computed once per set of active jammers and kept on the engine
-(Engine.interference_dbm_at); with no jammer active it is the noise floor.
+(Engine.interference_dbm_at); with no jammer active it is the noise floor.  A
+burst finds its active jammers once, and so does each sensing tick.
 Only in-range data-plane sends into a cluster node contend for its channel:
 two that overlap in time collide and both drop.  Scheduled control-plane
 messages are modeled on a separate logical channel, and sends to any other
@@ -366,22 +370,6 @@ class CompromiseMode(enum.Enum):
     FALSE_DATA = "FalseData"
 
 
-@dataclass(slots=True)
-class _PendingTx:
-    """One hop from send to delivery, carrying every fact Engine.send decided about it."""
-
-    start_us: SimTime
-    end_us: SimTime
-    packet: Packet
-    transmitter: int | None  # the metered node keying the radio; None for a phantom
-    tx_pos: tuple[float, float]  # true transmit position (the forger's, for a phantom)
-    cell: HexCoord | None  # sender's cell, or the claimed origin's for a phantom
-    counted: bool  # counts toward its cell's sent/delivered totals
-    contends: bool  # in-range data send into a cluster: enters its collision table
-    rssi_dbm: float | None  # None on the reliable long-range channel (no shadowing draw)
-    in_range: bool
-
-
 def active_at(intervals: dict[Any, list[tuple[SimTime, SimTime, Any]]], key: Any, t: SimTime) -> Any:
     """The value of key's first (start, end, value) interval that holds t, or None."""
     for start, end, value in intervals.get(key, ()):
@@ -442,7 +430,7 @@ class Engine:
 
         # attack state (populated by the attacks module before run())
         self.interference: list[InterferenceSource] = []
-        # (x, y, indices of the active jammers) -> summed level: interference_dbm_at's
+        # (x, y, indices of the active jammers) -> summed level: _jammer_level's
         self._interference_levels: dict[tuple[float, float, tuple[int, ...]], float] = {}
         self.compromise: dict[int, list[tuple[SimTime, SimTime, CompromiseMode]]] = {}
         self.route_overrides: dict[int, list[tuple[SimTime, SimTime, int]]] = {}
@@ -462,8 +450,8 @@ class Engine:
             self.log.meters[n.node_id] = EnergyMeter()
             self.log.counters[n.node_id] = MessageCounters()
 
-        # cluster node -> in-range data sends into it that may still collide
-        self._contending: dict[int, list[_PendingTx]] = {}
+        # cluster node -> (start_us, end_us, hop) of the in-range data sends into it that may still collide
+        self._contending: dict[int, list[tuple[SimTime, SimTime, tuple]]] = {}
         self._cell_sent: dict[HexCoord, int] = {c: 0 for c in topology.cells}
         self._cell_delivered: dict[HexCoord, int] = {c: 0 for c in topology.cells}
         self._cell_cs_samples: dict[HexCoord, list[int]] = {c: [] for c in topology.cells}
@@ -474,11 +462,11 @@ class Engine:
         self._truth_ids: set[int] = set()
         # transmit position -> its overhearing sensors, filled on its first data send
         self._listeners: dict[tuple[float, float], list[tuple[int, Node, float]]] = {}
-        # every hop is packet_size_bits long, so every reception costs the same,
-        # and a link's transmit cost and zero-shadowing RSSI are fixed by its ends:
-        # (transmit position, receiver) -> (tx energy J, deterministic RSSI dBm)
+        # every hop is packet_size_bits long, so every reception costs the same;
+        # (src, dst) -> link record (_link), (forged position, dst) -> deterministic RSSI dBm
         self._rx_j = config.energy.rx_energy_j(config.energy.packet_size_bits)
-        self._links: dict[tuple[tuple[float, float], int], tuple[float, float]] = {}
+        self._links: dict[tuple[int, int], tuple] = {}
+        self._phantom_links: dict[tuple[tuple[float, float], int], float] = {}
 
     # ------------------------------------------------------------------ utils
 
@@ -529,27 +517,29 @@ class Engine:
         self._seq += 1
 
     def interference_dbm_at(self, x: float, y: float, t0: SimTime, t1: SimTime | None = None) -> float:
-        """Noise floor plus all jammers active anywhere in [t0, t1).
+        """Noise floor plus all jammers active anywhere in [t0, t1)."""
+        return self._jammer_level(x, y, self._jammers_on(t0, t0 + 1 if t1 is None else t1))
 
-        With no jammer active this is the noise floor.  Otherwise the level
-        is summed once per position and set of active jammers, and kept: the
-        key holds the jammers' indices in self.interference, to which attacks
-        only ever append, so a jammer added later makes a new key and never
-        meets a level summed without it.
+    def _jammers_on(self, t0: SimTime, t1: SimTime) -> tuple[int, ...]:
+        """The indices in self.interference of the jammers active anywhere in [t0, t1)."""
+        return tuple(i for i, src in enumerate(self.interference) if src.start_us < t1 and src.end_us > t0)
+
+    def _jammer_level(self, x: float, y: float, jammers: tuple[int, ...]) -> float:
+        """Noise floor plus the summed level at (x, y) of jammers, indices from _jammers_on.
+
+        With no jammer this is the noise floor.  Otherwise the level is summed
+        once per position and set of jammers, and kept: attacks only ever
+        append to self.interference, so a jammer added later makes a new key
+        and never meets a level summed without it.
         """
-        t1 = t0 + 1 if t1 is None else t1
-        active: tuple[int, ...] = ()
-        for i, src in enumerate(self.interference):
-            if src.start_us < t1 and src.end_us > t0:
-                active += (i,)
-        if not active:
+        if not jammers:
             return self.config.radio.noise_floor_dbm
-        key = (x, y, active)
+        key = (x, y, jammers)
         level = self._interference_levels.get(key)
         if level is None:
             radio = self.config.radio
             levels = [radio.noise_floor_dbm]
-            for i in active:
+            for i in jammers:
                 src = self.interference[i]
                 d = math.hypot(x - src.x, y - src.y)
                 levels.append(radio.deterministic_rssi(d, src.power_dbm))
@@ -567,21 +557,10 @@ class Engine:
         packet_id: int | None = None,
         pkt_kind: str = "",
     ) -> None:
-        """Trace one node's event that no hop carries: an idle or rule_eval charge, or a finding."""
-        self.log.events.append(
-            TraceEvent(
-                self.now,
-                kind,
-                node,
-                None,
-                self.topology.nodes[node].cell,
-                outcome,
-                None,
-                joules * 1e6,
-                packet_id,
-                pkt_kind,
-            )
-        )
+        """Trace one node's event that no hop carries: a rule_eval charge or a finding (idle rows: _window_boundary)."""
+        cell = self.topology.nodes[node].cell
+        self.log.events.append(TraceEvent(self.now, kind, node, None, cell, outcome, None, joules * 1e6,
+                                          packet_id, pkt_kind))
 
     # ----------------------------------------------------------------- energy
 
@@ -601,19 +580,25 @@ class Engine:
         Silent-compromised nodes transmit nothing.  Each sender pays transmit
         energy whether or not its packet will be delivered, and each tx row is
         traced at once; delivery resolves one hop latency later, the whole
-        burst in one heap entry (see Bursts above).  Every fact about a hop is
-        decided here and carried on its _PendingTx record to delivery.
+        burst in one heap entry (see Bursts above).  A metered send reads its
+        link record (_link); every other fact about a hop is decided here and
+        carried in its tuple to delivery (see Hops above).
         """
         radio = self.config.radio
         nodes = self.topology.nodes
         now = self.now
-        log = self.log
-        trace = log.events.append
+        trace = self.log.events.append
         compromise = self.compromise
         links = self._links
+        contending = self._contending
+        cell_sent = self._cell_sent
+        gauss = self._shadow_rng.gauss
         sigma = radio.shadowing_sigma_db
+        sensitivity = radio.rx_sensitivity_dbm
         reliable = radio.long_range_reliable
         end_us = now + radio.airtime_us
+        # carrier sense: the jammers on at this instant are on for the whole burst
+        jammers = self._jammers_on(now, now + 1)
         hops = []
         for packet in packets:
             src = packet.src
@@ -621,136 +606,141 @@ class Engine:
             kind = packet.kind._value_  # _value_: the Enum.value property is slower
             control = packet.control
             if packet.phantom_pos is None:
-                transmitter: int | None = src
-                src_node = nodes[src]
                 if src in compromise and active_at(compromise, src, now) is CompromiseMode.SILENT:
                     continue
-                if src_node.role is NodeRole.SENSOR and not control:
-                    # a sensor's data plane only transmits inside its wake window
-                    if not is_awake(self.smac[src_node.cell], now):
-                        raise AssertionError(f"sensor {src} transmitting outside wake window at {now}")
-                tx_pos = self._positions[src]
-                cell = src_node.cell
+                link = links.get((src, dst)) or self._link(src, dst)
+                energy, energy_uj, det, tx_pos, cell, smac, senses, into_cluster, meter, counters = link
+                # a sensor's data plane only transmits inside its wake window
+                if smac is not None and not control and not is_awake(smac, now):
+                    raise AssertionError(f"sensor {src} transmitting outside wake window at {now}")
+                transmitter: int | None = src
+                meter.tx_j += energy
+                counters.sent[kind] = counters.sent.get(kind, 0) + 1
+                if control:
+                    counters.control_sent += 1
+                counted = cell is not None and not packet.long_range
+                if counted:
+                    cell_sent[cell] += 1
+                    if senses:
+                        self._record_carrier_sense(cell, tx_pos, jammers)
             else:
                 transmitter = None  # external attacker hardware is not metered
                 tx_pos = packet.phantom_pos
                 cell = nodes[packet.origin].cell
-            counted = transmitter is not None and cell is not None and not packet.long_range
-            link = links.get((tx_pos, dst))
-            if link is None:
-                dst_node = nodes[dst]
-                distance = math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y)
-                link = links[(tx_pos, dst)] = (
-                    self.config.energy.tx_energy_j(self.config.energy.packet_size_bits, distance),
-                    radio.deterministic_rssi(distance),
-                )
-
-            energy = 0.0
-            if transmitter is not None:
-                energy = link[0]
-                log.meters[transmitter].tx_j += energy
-                counters = log.counters[transmitter]
-                counters.sent[kind] = counters.sent.get(kind, 0) + 1
-                if control:
-                    counters.control_sent += 1
-                if counted:
-                    self._cell_sent[cell] += 1
-                    if src_node.role is NodeRole.CLUSTER:
-                        self._record_carrier_sense(cell, tx_pos)
+                counted, energy_uj = False, 0.0
+                det = self._phantom_links.get((tx_pos, dst))
+                if det is None:
+                    dst_node = nodes[dst]
+                    distance = math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y)
+                    det = self._phantom_links[(tx_pos, dst)] = radio.deterministic_rssi(distance)
+                into_cluster = nodes[dst].role is NodeRole.CLUSTER
             # positional, in field order: keyword matching costs more than the rest
-            trace(TraceEvent(now, "tx", src, dst, cell, "", None, energy * 1e6, packet.packet_id, kind, control))
+            trace(TraceEvent(now, "tx", src, dst, cell, "", None, energy_uj, packet.packet_id, kind, control))
 
             if packet.long_range and reliable:
                 rssi, in_range, contends = None, True, False
             else:
-                rssi = link[1]
+                rssi = det
                 if sigma > 0.0:
-                    rssi += self._shadow_rng.gauss(0.0, sigma)
-                in_range = rssi >= radio.rx_sensitivity_dbm
-                contends = in_range and not control and nodes[dst].role is NodeRole.CLUSTER
-            hop = _PendingTx(now, end_us, packet, transmitter, tx_pos, cell, counted, contends, rssi, in_range)
+                    rssi += gauss(0.0, sigma)
+                in_range = rssi >= sensitivity
+                contends = in_range and not control and into_cluster
+            hop = (packet, transmitter, tx_pos, cell, counted, contends, rssi, in_range)
             if contends:
-                self._contending.setdefault(dst, []).append(hop)
+                contending.setdefault(dst, []).append((now, end_us, hop))
             hops.append(hop)
         if hops:
-            heapq.heappush(self._heap, (now + radio.per_hop_latency_us, self._seq, self._resolve, hops))
+            heapq.heappush(self._heap, (now + radio.per_hop_latency_us, self._seq, self._resolve, (now, end_us, hops)))
             self._seq += 1
 
-    def _record_carrier_sense(self, cell: HexCoord, pos: tuple[float, float]) -> None:
+    def _link(self, src: int, dst: int) -> tuple:
+        """Build and keep the record of the link from metered sender src to dst, in the order send unpacks it."""
+        sender, receiver = self.topology.nodes[src], self.topology.nodes[dst]
+        tx_pos = self._positions[src]
+        distance = math.hypot(tx_pos[0] - receiver.x, tx_pos[1] - receiver.y)
+        energy = self.config.energy.tx_energy_j(self.config.energy.packet_size_bits, distance)
+        link = self._links[(src, dst)] = (
+            energy, energy * 1e6, self.config.radio.deterministic_rssi(distance), tx_pos, sender.cell,
+            self.smac[sender.cell] if sender.role is NodeRole.SENSOR else None, sender.role is NodeRole.CLUSTER,
+            receiver.role is NodeRole.CLUSTER, self.log.meters[src], self.log.counters[src],
+        )
+        return link
+
+    def _record_carrier_sense(self, cell: HexCoord, pos: tuple[float, float], jammers: tuple[int, ...]) -> None:
+        """Sample a cluster's carrier-sense wait; jammers are the jammers on now (_jammers_on)."""
         radio = self.config.radio
-        level = self.interference_dbm_at(pos[0], pos[1], self.now)
+        level = self._jammer_level(pos[0], pos[1], jammers)
         wait = radio.cs_turnaround_us
         if level > radio.cs_busy_threshold_dbm:
             wait += radio.cs_busy_wait_us
         self._cell_cs_samples[cell].append(wait)
 
-    def _collides(self, hop: _PendingTx) -> bool:
-        """Whether another send into the same cluster overlaps hop's airtime."""
-        for other in self._contending[hop.packet.dst]:
-            if other is not hop and other.start_us < hop.end_us and other.end_us > hop.start_us:
-                return True
-        return False
+    def _resolve(self, burst: tuple[SimTime, SimTime, list[tuple]]) -> None:
+        """Resolve one burst, hop by hop in send order: deliver or drop, overhear, prune.
 
-    def _resolve(self, hops: list[_PendingTx]) -> None:
-        """Resolve one burst, hop by hop in send order: deliver or drop, overhear, prune."""
+        burst is (start_us, end_us, hops): the airtime its hops share, and their tuples as send decided them.
+        """
+        start_us, end_us, hops = burst
         radio = self.config.radio
         nodes = self.topology.nodes
         now = self.now
         log = self.log
+        meters = log.meters
         trace = log.events.append
         contending = self._contending
+        inboxes = self.inboxes
         overheard = self.overheard
         rx_j = self._rx_j
         rx_uj = rx_j * 1e6
-        # a burst's hops share one airtime, so a jammer is on for all of them or for none
-        start_us, end_us = hops[0].start_us, hops[0].end_us
-        jammed = any(j.start_us < end_us and j.end_us > start_us for j in self.interference)
+        # a burst's hops share one airtime, so the same jammers are on for all of them
+        jammers = self._jammers_on(start_us, end_us)
         for hop in hops:
-            packet = hop.packet
+            packet, _transmitter, _tx_pos, cell, counted, contends, rssi, in_range = hop
             dst = packet.dst
-            rssi = hop.rssi_dbm
             outcome = Outcome.DELIVERED
             if rssi is None:  # the reliable long-range channel always delivers
                 pass
-            elif not hop.in_range:
+            elif not in_range:
                 outcome = Outcome.OUT_OF_RANGE
             else:
                 interference = radio.noise_floor_dbm
-                if jammed:
+                if jammers:
                     dst_node = nodes[dst]
-                    interference = self.interference_dbm_at(dst_node.x, dst_node.y, start_us, end_us)
+                    interference = self._jammer_level(dst_node.x, dst_node.y, jammers)
                 if rssi - interference < radio.sinr_threshold_db:
                     outcome = Outcome.JAMMED
-                elif hop.contends and self._collides(hop):
+                elif contends and any(  # another send into the cluster overlaps this airtime
+                    other is not hop and s < end_us and e > start_us for s, e, other in contending[dst]
+                ):
                     outcome = Outcome.COLLISION
 
             kind = packet.kind
             if outcome is Outcome.DELIVERED:
-                log.meters[dst].rx_j += rx_j
-                if hop.counted:
-                    self._cell_delivered[hop.cell] += 1
+                meters[dst].rx_j += rx_j
+                if counted:
+                    self._cell_delivered[cell] += 1
                 if packet.packet_id in self._truth_ids:
                     log.delivered_to[packet.packet_id] = dst
-                trace(TraceEvent(now, "rx", packet.src, dst, hop.cell, "Delivered", rssi, rx_uj,
+                trace(TraceEvent(now, "rx", packet.src, dst, cell, "Delivered", rssi, rx_uj,
                                  packet.packet_id, kind._value_, False))
-                inbox = self.inboxes.get(dst)
+                inbox = inboxes.get(dst)
                 if inbox is not None:
                     inbox.append((now, packet))
                 if kind is PacketKind.SENSOR_DATA and nodes[dst].role is NodeRole.SENSOR:
                     self._relay_onward(packet, dst)
             else:
-                trace(TraceEvent(now, "drop", packet.src, dst, hop.cell, outcome._value_, rssi, 0.0,
+                trace(TraceEvent(now, "drop", packet.src, dst, cell, outcome._value_, rssi, 0.0,
                                  packet.packet_id, kind._value_, False))
             if rssi is None:
                 continue  # nothing overhears or contends on the reliable channel
             if overheard and kind in DATA_KINDS:
-                self._overhear(hop, jammed)
+                self._overhear(hop, jammers)
             # Every hop resolves one latency after it starts, so every send still
             # unresolved started no earlier than this one: an entry that ended
             # before this one started can collide with nothing any more.
             lst = contending.get(dst)
             if lst is not None:
-                contending[dst] = [p for p in lst if p.end_us > start_us]
+                contending[dst] = [e for e in lst if e[1] > start_us]
 
     def _relay_onward(self, packet: Packet, relay: int) -> None:
         """Second hop of a detoured intra-cell route (attack machinery)."""
@@ -784,33 +774,38 @@ class Engine:
                 listeners.append((sensor_id, node, det))
         return listeners
 
-    def _overhear(self, hop: _PendingTx, jammed: bool) -> None:
+    def _overhear(self, hop: tuple, jammers: tuple[int, ...]) -> None:
         """Flat-baseline promiscuous listening on one data-plane transmission.
 
         A transmit position's listeners (_listeners_at, candidates from
         Topology.within) are found on the first data send from it and kept,
         for metered and phantom sends alike.  Each send skips its transmitter
         and its destination and runs the jammer SINR test per listener;
-        jammed says whether any jammer is on during the hop's airtime.
+        jammers are those on during the hop's airtime (_jammers_on).
         """
-        packet = hop.packet
-        listeners = self._listeners.get(hop.tx_pos)
+        packet, transmitter, tx_pos = hop[:3]
+        listeners = self._listeners.get(tx_pos)
         if listeners is None:
-            listeners = self._listeners[hop.tx_pos] = self._listeners_at(hop.tx_pos)
+            listeners = self._listeners[tx_pos] = self._listeners_at(tx_pos)
         radio = self.config.radio
+        now = self.now
+        meters = self.log.meters
+        trace = self.log.events.append
+        overheard = self.overheard
         rx_j = self._rx_j
+        kind = packet.kind._value_
         for sensor_id, node, det in listeners:
-            if sensor_id == packet.dst or sensor_id == hop.transmitter:
+            if sensor_id == packet.dst or sensor_id == transmitter:
                 continue
             interference = radio.noise_floor_dbm
-            if jammed:
-                interference = self.interference_dbm_at(node.x, node.y, hop.start_us, hop.end_us)
+            if jammers:
+                interference = self._jammer_level(node.x, node.y, jammers)
             if det - interference < radio.sinr_threshold_db:
                 continue
-            self.log.meters[sensor_id].rx_j += rx_j
-            self.log.events.append(TraceEvent(self.now, "rx", packet.src, sensor_id, node.cell, "Overheard", det,
-                                              rx_j * 1e6, packet.packet_id, packet.kind._value_, False))
-            self.overheard[sensor_id].append((self.now, packet))
+            meters[sensor_id].rx_j += rx_j
+            trace(TraceEvent(now, "rx", packet.src, sensor_id, node.cell, "Overheard", det, rx_j * 1e6,
+                             packet.packet_id, kind, False))
+            overheard[sensor_id].append((now, packet))
 
     # ------------------------------------------------------------- run window
 
@@ -818,14 +813,16 @@ class Engine:
         radio = self.config.radio
         sim = self.config.sim
         w_start = window * sim.aggregation_window_us
-        ticks = max(1, sim.aggregation_window_us // sim.sensing_tick_us)
+        tick = sim.sensing_tick_us
+        ticks = max(1, sim.aggregation_window_us // tick)
+        # the jammers on at each sensing tick, found once for every cell
+        jammers = [self._jammers_on(t, t + 1) for t in range(w_start, w_start + ticks * tick, tick)]
         by_cell: dict[HexCoord, ChannelWindowStats] = {}
         for cell in self.topology.cells:
             cluster = self.topology.node(self.topology.cluster_of(cell))
             samples = []
-            for i in range(ticks):
-                t = w_start + i * sim.sensing_tick_us
-                level = self.interference_dbm_at(cluster.x, cluster.y, t)
+            for on in jammers:
+                level = self._jammer_level(cluster.x, cluster.y, on) if on else radio.noise_floor_dbm
                 if radio.shadowing_sigma_db > 0.0:
                     level += self._idle_rng.gauss(0.0, radio.shadowing_sigma_db)
                 samples.append(level)
@@ -850,9 +847,12 @@ class Engine:
         self._collect_window_stats(window)
         idle = self.config.energy.idle_j_per_window
         if idle > 0.0:
+            meters = self.log.meters
+            trace = self.log.events.append
+            idle_uj = idle * 1e6
             for n in self.topology.nodes:
-                self.log.meters[n.node_id].idle_j += idle
-                self.trace_node_event(n.node_id, "idle", idle)
+                meters[n.node_id].idle_j += idle
+                trace(TraceEvent(self.now, "idle", n.node_id, None, n.cell, "", None, idle_uj, None, "", False))
         if self.monitors is not None:
             self.monitors.on_window_end(self, window)
         for inbox in self.inboxes.values():

@@ -19,7 +19,7 @@ from conftest import assert_energy_ledger_consistent, make_engine, serialize_log
 from hodsim.attacks import AttackKind, AttackSpec, apply_attacks
 from hodsim.config import ScenarioConfig
 from hodsim.detection import FlatMonitors, HodMonitors
-from hodsim.mac import next_compliant_slot
+from hodsim.mac import is_awake, next_compliant_slot
 from hodsim.metrics import run_scenario
 from hodsim.simcore import (
     CompromiseMode,
@@ -676,6 +676,85 @@ class TestEngineMechanics:
         want = 50e-9 * 512 + 100e-12 * 512 * d * d
         assert eng.log.meters[sensor].tx_j == pytest.approx(want, rel=1e-12)
         assert eng.log.meters[cluster].rx_j == pytest.approx(50e-9 * 512, rel=1e-12)
+
+
+class TestWakeGuard:
+    """A sensor's data plane transmits only inside its cell's S-MAC wake window.
+
+    The guard is an explicit raise, so it holds under python -O too.
+    """
+
+    def setup_method(self):
+        self.eng = eng = make_engine()
+        self.cell = sorted(eng.topology.cells)[0]
+        self.sensor = eng.topology.sensors_of(self.cell)[0]
+        self.cluster = eng.topology.cluster_of(self.cell)
+        smac = eng.smac[self.cell]
+        self.awake = smac.phase_offset_us
+        self.asleep = smac.phase_offset_us + smac.awake_us  # the first instant of the sleep part
+        assert is_awake(smac, self.awake) and not is_awake(smac, self.asleep)
+
+    def tx_rows(self):
+        return [(e.time_us, e.src, e.control) for e in self.eng.log.events if e.event_kind == "tx"]
+
+    def test_a_sensor_data_send_outside_its_wake_window_raises(self):
+        eng = self.eng
+        # the link's record is built on an awake send; the guard still runs on every later send
+        eng.now = self.awake
+        eng.send(data_packet(eng, self.sensor, self.cluster))
+        eng.now = self.asleep
+        with pytest.raises(AssertionError, match=f"sensor {self.sensor} transmitting outside wake window"):
+            eng.send(data_packet(eng, self.sensor, self.cluster))
+        assert self.tx_rows() == [(self.awake, self.sensor, False)]
+
+    def test_a_control_send_at_the_same_instant_does_not_raise(self):
+        eng = self.eng
+        eng.now = self.asleep
+        eng.send(data_packet(eng, self.sensor, self.cluster, control=True))
+        with pytest.raises(AssertionError, match="outside wake window"):
+            eng.send(data_packet(eng, self.sensor, self.cluster))
+        assert self.tx_rows() == [(self.asleep, self.sensor, True)]
+
+    def test_a_cluster_send_is_never_checked(self):
+        eng = self.eng
+        regional = eng.topology.regional_of_cell(self.cell)
+        for t in (self.asleep, self.awake + eng.smac[self.cell].period_us, self.asleep + 1):
+            eng.now = t
+            eng.send(data_packet(eng, self.cluster, regional), data_packet(eng, self.cluster, self.sensor))
+        assert len(self.tx_rows()) == 6
+
+
+class TestLinkTable:
+    """Each metered (src, dst) link is priced once and kept; a phantom's forged sends are not in the table."""
+
+    @pytest.mark.parametrize("mode", ["hod", "flat"])
+    def test_one_record_per_metered_link(self, mode, monkeypatch):
+        priced = []
+        tx_energy_j = EnergyModel.tx_energy_j
+
+        def counting_tx_energy_j(self, bits, distance_m):
+            priced.append(distance_m)
+            return tx_energy_j(self, bits, distance_m)
+
+        monkeypatch.setattr(EnergyModel, "tx_energy_j", counting_tx_energy_j)
+        eng = make_engine(
+            sensors_per_cell=3,
+            mode=mode,
+            radio=RadioModel(shadowing_sigma_db=4.0),
+            workload=WorkloadConfig(),
+            attacks=[AttackSpec(kind=AttackKind.SLOT_SPOOF, start_us=0, end_us=2_000_000, cell=HexCoord(0, 0),
+                                packet_count=5)],
+        )
+        (HodMonitors if mode == "hod" else FlatMonitors)(eng)
+        apply_attacks(eng)
+        eng.run()
+        forged = {gt.packet_id for gt in eng.log.ground_truth if gt.kind == "SlotSpoof"}
+        tx = [e for e in eng.log.events if e.event_kind == "tx"]
+        metered = {(e.src, e.dst) for e in tx if e.packet_id not in forged}
+        assert len(forged) == 5 and sum(e.packet_id in forged for e in tx) == 5
+        assert len(priced) == len(metered) == len(eng._links)
+        assert set(eng._links) == metered
+        assert {dst for _pos, dst in eng._phantom_links} == {eng.topology.cluster_of(HexCoord(0, 0))}
 
 
 class TestDeterminism:
