@@ -12,17 +12,25 @@ member clusters (liveness and alert suppression) and forward everything
 upward; the base station watches the regionals and keeps the authoritative
 alert ledger.  Alerts ripple up one hop per aggregation window: cluster ->
 regional rides the normal short-range channel, regional -> base uses the
-reliable long-range channel.  A cluster keeps each alarm it sends in its
-outbox until the alarm shows up in its regional's inbox: a hop is shorter than
-a window, so an alarm sent at one window step is in that inbox at the next
-step if and only if it was delivered, and the cluster then drops it; it
-retransmits any other.  So no alarm reaches a node twice, and the regional
-relays, and the base records, every alarm it receives.  An alarm carries the
-Alert itself; each node that receives one keeps its own copy with itself
-appended to the hop trail, so an alert is never changed once logged.  The
-periodic data reports (cluster report, regional summary) are overlay traffic
-too: HodMonitors sends them at the end of every window, after the alarm and
-heartbeat traffic.
+long-range uplink.  A cluster's outbox holds the alarm packets it sent at its
+last step.  A hop is shorter than a window, so such a packet is in the
+regional's inbox at the next step if and only if it was delivered; the ack
+then drops it, and the cluster resends each packet left as a new packet with
+the same payload, ahead of the step's new alarms.  So no alarm reaches a node
+twice, and the regional relays, and the base records, every alarm it
+receives.  An alarm carries the Alert itself; each node that receives one
+keeps its own copy with itself appended to the hop trail, so an alert is
+never changed once logged.  The periodic data reports (cluster report,
+regional summary) are overlay traffic too: HodMonitors sends them at the end
+of every window, after the alarm and heartbeat traffic.
+
+For suppression a regional keeps one count per member cluster: the run of
+consecutive closed windows whose jamming vote fired on the cluster's cell
+while the cluster reported zero alerts about them.  The report about a window
+arrives during the next one, so each step extends or ends the run by the
+window before; a missing report ends it, and so does a Silent regional step,
+which leaves its inbox unread.  SuppressedAlerts fires once the run reaches
+the heartbeat timeout.
 
 An alert's layer follows from its rule and names the protocol layer it guards:
 phy (jamming), link (slot / sleep / foreign origin), net (route deviation),
@@ -371,15 +379,15 @@ def watchdog_check(
     now: SimTime,
     last_seen_window: int,
     thresholds: DetectorThresholds,
-    suppressed: list[bool] | None = None,
+    suppressed: int = 0,
 ) -> list[Alert]:
     """Liveness and suppression checks for one (monitor, monitored) pair.
 
     MissedHeartbeat fires once the monitored node has been silent for the
-    heartbeat timeout.  suppressed, when provided, holds one flag per window
-    of the lookback, each true when that window's jamming vote fired on the
-    child's cell while the child reported zero alerts about it; the
-    SuppressedAlerts rule fires only if the last timeout flags are all true.
+    heartbeat timeout.  suppressed is the run of consecutive closed windows
+    whose jamming vote fired on the child's cell while the child reported
+    zero alerts about them; SuppressedAlerts fires once it reaches the
+    heartbeat timeout.
     """
     pair = (topology.role(monitor_id), topology.role(monitored_id))
     if pair not in _LEGAL_WATCHDOG_PAIRS:
@@ -392,7 +400,7 @@ def watchdog_check(
     timeout = thresholds.heartbeat_timeout_windows
     if window - last_seen_window >= timeout:
         alerts.append(_new_alert(AlertRule.MISSED_HEARTBEAT, suspect_node(monitored_id), monitor_id, now, window))
-    if suppressed is not None and len(suppressed) >= timeout and all(suppressed[-timeout:]):
+    if suppressed >= timeout:
         alerts.append(_new_alert(AlertRule.SUPPRESSED_ALERTS, suspect_node(monitored_id), monitor_id, now, window))
     return alerts
 
@@ -418,12 +426,6 @@ def _relayed_copy(alert: Alert, node: int) -> Alert:
     return dataclasses.replace(alert, hop_trail=[*alert.hop_trail, node])
 
 
-@dataclass
-class _OutboxEntry:
-    alert: Alert
-    last_packet_id: int | None = None
-
-
 class HodMonitors:
     """Attaches the four-layer overlay to an engine."""
 
@@ -432,18 +434,17 @@ class HodMonitors:
         self.thresholds = engine.config.detect.resolved(engine.config.radio)
         self.graph = ConnectivityGraph(engine.topology, engine.config.radio.short_range_m)
         topo = engine.topology
-        self.cluster_outbox: dict[int, list[_OutboxEntry]] = {
-            topo.cluster_of(c): [] for c in topo.cells
-        }
+        clusters = [topo.cluster_of(c) for c in topo.cells]
+        # cluster -> the alarm packets it sent last; the ack drops those its regional received
+        self.cluster_outbox: dict[int, list[Packet]] = {c: [] for c in clusters}
         # node -> last window its watcher saw a sign of life from it (every node but the base)
         self.last_seen: dict[int, int] = {
             n.node_id: -1 for n in topo.nodes if n.role is not NodeRole.BASE
         }
-        self.reported_alert_counts: dict[int, int] = {}  # cluster -> this window's report
-        # window -> {cell: jamming vote} and window -> {cluster: alert count it
-        # reported about that window}, each for this window and the lookback before it
-        self.votes: dict[int, dict[HexCoord, bool]] = {}
-        self.child_reports: dict[int, dict[int, int]] = {}
+        # cluster -> the run of consecutive closed windows, up to the last one,
+        # whose jamming vote fired on its cell while it reported zero alerts about them
+        self.suppressed_windows: dict[int, int] = dict.fromkeys(clusters, 0)
+        self.votes: dict[HexCoord, bool] = {}  # this window's jamming vote per cell
         engine.inboxes = {m: [] for m in topo.monitor_ids()}
         engine.monitors = self
 
@@ -451,18 +452,12 @@ class HodMonitors:
 
     def on_window_end(self, engine: Engine, window: int) -> None:
         topo = engine.topology
-        self.votes[window] = jamming_votes(engine.log.window_stats[window], self.thresholds)
-        self.child_reports[window] = {}
-        expired = window - self.thresholds.heartbeat_timeout_windows - 1
-        self.votes.pop(expired, None)
-        self.child_reports.pop(expired, None)
-        self.reported_alert_counts = {}
-        for cell in topo.cells:
-            self._cluster_step(topo.cluster_of(cell), cell, window)
+        previous_votes, self.votes = self.votes, jamming_votes(engine.log.window_stats[window], self.thresholds)
+        reported = [self._cluster_step(topo.cluster_of(cell), cell, window) for cell in topo.cells]
         for rid in sorted(topo.regional_by_region):
-            self._regional_step(topo.regional_by_region[rid], rid, window)
+            self._regional_step(topo.regional_by_region[rid], rid, window, previous_votes)
         self._base_step(window)
-        self._send_data_reports(window)
+        self._send_data_reports(reported)
 
     # ---------------------------------------------------------------- cluster
 
@@ -470,7 +465,8 @@ class HodMonitors:
         self.engine.log.alerts.append(alert)
         _trace_finding(self.engine, alert, "alert")
 
-    def _cluster_step(self, cluster: int, cell: HexCoord, window: int) -> None:
+    def _cluster_step(self, cluster: int, cell: HexCoord, window: int) -> int:
+        """One cluster's window step; returns the alert count its data report claims."""
         eng = self.engine
         regional = eng.topology.regional_of_cell(cell)
         outbox = self.cluster_outbox[cluster]
@@ -480,12 +476,12 @@ class HodMonitors:
             # if and only if it was delivered; taken even while Silent, so that
             # a cluster that recovers resends only what was lost
             delivered = {packet.packet_id for _t, packet in eng.inboxes[regional]}
-            outbox[:] = [e for e in outbox if e.last_packet_id not in delivered]
+            outbox[:] = [p for p in outbox if p.packet_id not in delivered]
         mode = active_at(eng.compromise, cluster, eng.now)
         if mode is CompromiseMode.SILENT:
-            return
+            return 0
         received = eng.inboxes[cluster]
-        alerts, evals = cluster_pipeline(eng, self.graph, cluster, window, received, self.votes[window][cell])
+        alerts, evals = cluster_pipeline(eng, self.graph, cluster, window, received, self.votes[cell])
 
         # liveness ledger: any claimed-origin data from the cell's own sensors is a sign of life
         sensors = eng.topology.sensors_of(cell)
@@ -511,56 +507,56 @@ class HodMonitors:
             self._log_alert(a)
         if mode is CompromiseMode.FALSE_DATA:
             # the lie: report zero, forward nothing, not even alarms queued before
-            self.reported_alert_counts[cluster] = 0
-            outbox.clear()
+            payloads, reported = [], 0
         else:
-            self.reported_alert_counts[cluster] = len(alerts)
-            outbox.extend(_OutboxEntry(a) for a in alerts)
-        burst = []
-        for entry in outbox:
-            packet = eng.new_packet(
-                PacketKind.REGIONAL_ALARM, cluster, regional, payload={"alert": entry.alert}, control=True
-            )
-            entry.last_packet_id = packet.packet_id
-            burst.append(packet)
-        burst.append(eng.new_packet(PacketKind.HEARTBEAT, cluster, regional, control=True))
-        eng.send(*burst)
+            # the unacked alarms again, as new packets, then this window's
+            payloads = [p.payload for p in outbox] + [{"alert": a} for a in alerts]
+            reported = len(alerts)
+        outbox[:] = [
+            eng.new_packet(PacketKind.REGIONAL_ALARM, cluster, regional, payload=payload, control=True)
+            for payload in payloads
+        ]
+        eng.send(*outbox, eng.new_packet(PacketKind.HEARTBEAT, cluster, regional, control=True))
+        return reported
 
     # --------------------------------------------------------------- regional
 
-    def _regional_step(self, regional: int, rid: int, window: int) -> None:
+    def _regional_step(self, regional: int, rid: int, window: int, previous_votes: dict[HexCoord, bool]) -> None:
+        """One regional's window step; previous_votes is the jamming vote of the window before."""
         eng = self.engine
         topo = eng.topology
         mode = active_at(eng.compromise, regional, eng.now)
+        children = [topo.cluster_of(c) for c in topo.regions[rid]]
         if mode is CompromiseMode.SILENT:
+            # the inbox goes unread, and with it this step's reports: every run restarts
+            for child in children:
+                self.suppressed_windows[child] = 0
             return
         received = eng.inboxes[regional]
-        member_cells = topo.regions[rid]
-        children = [topo.cluster_of(c) for c in member_cells]
 
         incoming: list[Alert] = []
+        reports: dict[int, int] = {}  # child -> the alert count it reported about the window before
         for _t, packet in received:
             src = packet.src
             if src in children:
                 if packet.kind in (PacketKind.CLUSTER_REPORT, PacketKind.HEARTBEAT):
                     self.last_seen[src] = window
                 if packet.kind is PacketKind.CLUSTER_REPORT:
-                    self.child_reports[packet.payload["window"]][src] = packet.payload["alert_count"]
+                    reports[src] = packet.payload["alert_count"]
                 if packet.kind is PacketKind.REGIONAL_ALARM and "alert" in packet.payload:
                     incoming.append(_relayed_copy(packet.payload["alert"], regional))
 
         own: list[Alert] = []
-        evals = 0
-        # Lookback pairs each completed window's jamming vote on the child's
-        # cell with the child's report about that same window; the report for
-        # window w only arrives during w+1 (a scenario's hop latency is below
-        # its window), so the current window is excluded.  A missing report is
-        # absence, not a zero claim.
-        lookback = range(max(0, window - self.thresholds.heartbeat_timeout_windows), window)
+        # A report sent at the last step arrived during this window (a
+        # scenario's hop latency is below its window), so this step closes the
+        # window before: its jamming vote on the child's cell against the
+        # child's report about it.  A missing report is absence, not a zero claim.
         for child in children:
             cell = topo.node(child).cell
-            suppressed = [self.votes[w][cell] and self.child_reports[w].get(child) == 0 for w in lookback]
-            evals += 2 + len(suppressed)
+            if previous_votes.get(cell, False) and reports.get(child) == 0:
+                self.suppressed_windows[child] += 1
+            else:
+                self.suppressed_windows[child] = 0
             own.extend(
                 watchdog_check(
                     topo,
@@ -570,9 +566,11 @@ class HodMonitors:
                     eng.now,
                     self.last_seen[child],
                     self.thresholds,
-                    suppressed=suppressed,
+                    suppressed=self.suppressed_windows[child],
                 )
             )
+        # per child: its two watchdog rules, plus one check per window of the run the timeout covers
+        evals = len(children) * (2 + min(window, self.thresholds.heartbeat_timeout_windows))
         eng.charge_rule_evals(regional, evals)
         for a in own:
             self._log_alert(a)
@@ -582,13 +580,11 @@ class HodMonitors:
 
         base = topo.base_id
         burst = [
-            eng.new_packet(
-                PacketKind.REGIONAL_ALARM, regional, base, payload={"alert": alert}, control=True, long_range=True
-            )
+            eng.new_packet(PacketKind.REGIONAL_ALARM, regional, base, payload={"alert": alert}, control=True)
             for alert in incoming + own
         ]
-        burst.append(eng.new_packet(PacketKind.REGIONAL_ALARM, regional, base, control=True, long_range=True))
-        burst.append(eng.new_packet(PacketKind.HEARTBEAT, regional, base, control=True, long_range=True))
+        burst.append(eng.new_packet(PacketKind.REGIONAL_ALARM, regional, base, control=True))
+        burst.append(eng.new_packet(PacketKind.HEARTBEAT, regional, base, control=True))
         eng.send(*burst)
 
     # ------------------------------------------------------------------- base
@@ -617,19 +613,22 @@ class HodMonitors:
 
     # ----------------------------------------------------------- data reports
 
-    def _send_data_reports(self, window: int) -> None:
-        """Data-plane periodic reports, in one burst: cluster -> regional -> base."""
+    def _send_data_reports(self, reported: list[int]) -> None:
+        """Data-plane periodic reports, in one burst: cluster -> regional -> base.
+
+        reported holds, in topology.cells order, the alert count each cluster's report claims.
+        """
         eng = self.engine
         topo = eng.topology
         burst = []
-        for cell in topo.cells:
+        for cell, alert_count in zip(topo.cells, reported):
             cluster = topo.cluster_of(cell)
-            payload = {"window": window, "alert_count": self.reported_alert_counts.get(cluster, 0)}
             regional = topo.regional_of_cell(cell)
-            burst.append(eng.new_packet(PacketKind.CLUSTER_REPORT, cluster, regional, payload=payload))
+            burst.append(
+                eng.new_packet(PacketKind.CLUSTER_REPORT, cluster, regional, payload={"alert_count": alert_count})
+            )
         for rid in sorted(topo.regional_by_region):
-            regional = topo.regional_by_region[rid]
-            burst.append(eng.new_packet(PacketKind.REGIONAL_ALARM, regional, topo.base_id, long_range=True))
+            burst.append(eng.new_packet(PacketKind.REGIONAL_ALARM, topo.regional_by_region[rid], topo.base_id))
         eng.send(*burst)
 
 

@@ -23,9 +23,12 @@ packet ids alone, registered once the workload is planned (scoring asks which
 of them reached a cluster); no other delivery is kept.  A monitor that wants
 to know whether its own packet arrived reads the receiver's inbox.
 
-Windows: at each aggregation-window boundary the engine closes the window's
-per-cell channel statistics (data sends, deliveries, PDR, mean idle RSSI at
-the cluster node, mean carrier-sense time) into RunLog.window_stats, indexed
+Windows: during a window the engine keeps one tally per cell: the metered
+sends of its nodes (control-plane ones included), their deliveries, the
+carrier-sense samples of its cluster, and how many of those found the channel
+busy.  At each aggregation-window boundary it closes the tallies into the
+window's per-cell channel statistics (sends, deliveries, PDR, mean idle RSSI
+at the cluster node, mean carrier-sense time) in RunLog.window_stats, indexed
 [window][cell], charges every node its idle cost, and then calls the monitor
 hook.  Monitors read the statistics of any closed window from that one store
 and keep no copy of their own.
@@ -39,18 +42,21 @@ and only the next instant's do; their Packets are built when they are sent, so
 a run holds the packets in flight rather than every report of the horizon, and
 equal-time ties resolve as if each report had been scheduled at the start.
 
-Hops: a Packet carries only its header (ids, kind, payload and flags); no
-send or delivery changes it, and every hop is priced at the configured
-packet_size_bits.  What the ends of a link fix is looked up once: the first
-metered send from src to dst keeps a link record under (src, dst) with the
-transmit energy, the zero-shadowing RSSI, the transmit position, the sender's
-cell, meter and counters, its S-MAC schedule if it is a sensor (the wake
-guard), and whether the sender (carrier sense) and the receiver (contention)
-are clusters.  A phantom's zero-shadowing RSSI is kept per (forged position,
-receiver); the shadowing draw is made per hop, in send order.  Engine.send
-decides every other fact about a hop once, into a tuple (packet, transmitter
-or None for a phantom, transmit position, cell, counted toward its PDR,
-contends for a cluster's channel, sampled RSSI or None on the reliable
+Hops: a Packet carries only its header (ids, kind, payload, the control-plane
+flag and a phantom's forged position); no send or delivery changes it, and
+every hop is priced at the configured packet_size_bits.  What the ends of a
+link fix is looked up once: the first metered send from src to dst keeps a
+link record under (src, dst) with the transmit energy, the zero-shadowing
+RSSI, the transmit position, the sender's cell, meter and counters, its S-MAC
+schedule if it is a sensor (the wake guard), and whether the sender (carrier
+sense) and the receiver (contention) are clusters.  The base is reached only
+over the long-range uplink, so a hop into the base takes the reliable channel
+when radio.long_range_reliable is set.  A phantom's single hop is priced where
+it is sent, and nothing of it is kept: a forgery attack sends only its
+packet_count of them.  The shadowing draw is made per hop, in send order.
+Engine.send decides every other fact about a hop once, into a tuple (packet,
+transmitter or None for a phantom, transmit position, cell, counted toward its
+PDR, contends for a cluster's channel, sampled RSSI or None on the reliable
 channel, in range); a burst resolves from (start_us, end_us, hops), and
 nothing is decided again.  The engine traces every row (tx, drop, rx,
 overheard rx, idle, rule_eval, findings) where it decides it.
@@ -85,8 +91,8 @@ transmission.  A packet is delivered iff its sampled RSSI clears the receiver
 sensitivity and the signal-to-interference ratio clears the SINR threshold
 against the noise floor plus any active jammers.  The summed jammer level at a
 position is computed once per set of active jammers and kept on the engine
-(Engine.interference_dbm_at); with no jammer active it is the noise floor.  A
-burst finds its active jammers once, and so does each sensing tick.
+(Engine._jammer_level); with no jammer active it is the noise floor.  A burst
+finds its active jammers once, and so does each sensing tick.
 Only in-range data-plane sends into a cluster node contend for its channel:
 two that overlap in time collide and both drop.  Scheduled control-plane
 messages are modeled on a separate logical channel, and sends to any other
@@ -175,13 +181,6 @@ class RadioModel:
         p = self.tx_power_dbm if tx_power_dbm is None else tx_power_dbm
         return p - self.path_loss_db(distance_m)
 
-    def rssi_at(self, distance_m: float, rng: random.Random) -> float:
-        """Sampled RSSI at tx_power_dbm: deterministic path loss plus gaussian shadowing."""
-        base = self.deterministic_rssi(distance_m)
-        if self.shadowing_sigma_db > 0.0:
-            return base + rng.gauss(0.0, self.shadowing_sigma_db)
-        return base
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -250,7 +249,6 @@ class Packet:
     dst: int
     payload: dict[str, Any] = field(default_factory=dict)
     control: bool = False  # IDS control plane (separate logical channel)
-    long_range: bool = False
     phantom_pos: tuple[float, float] | None = None  # true tx position if forged
 
 
@@ -452,9 +450,8 @@ class Engine:
 
         # cluster node -> (start_us, end_us, hop) of the in-range data sends into it that may still collide
         self._contending: dict[int, list[tuple[SimTime, SimTime, tuple]]] = {}
-        self._cell_sent: dict[HexCoord, int] = {c: 0 for c in topology.cells}
-        self._cell_delivered: dict[HexCoord, int] = {c: 0 for c in topology.cells}
-        self._cell_cs_samples: dict[HexCoord, list[int]] = {c: [] for c in topology.cells}
+        # cell -> this window's [sends, deliveries, carrier-sense samples, busy samples]
+        self._cell_tally: dict[HexCoord, list[int]] = {c: [0, 0, 0, 0] for c in topology.cells}
         # receive buffers, registered by the attached monitor
         self.inboxes: dict[int, list[tuple[SimTime, Packet]]] = {}
         self.overheard: dict[int, list[tuple[SimTime, Packet]]] = {}
@@ -463,10 +460,9 @@ class Engine:
         # transmit position -> its overhearing sensors, filled on its first data send
         self._listeners: dict[tuple[float, float], list[tuple[int, Node, float]]] = {}
         # every hop is packet_size_bits long, so every reception costs the same;
-        # (src, dst) -> link record (_link), (forged position, dst) -> deterministic RSSI dBm
+        # (src, dst) -> link record (_link)
         self._rx_j = config.energy.rx_energy_j(config.energy.packet_size_bits)
         self._links: dict[tuple[int, int], tuple] = {}
-        self._phantom_links: dict[tuple[tuple[float, float], int], float] = {}
 
     # ------------------------------------------------------------------ utils
 
@@ -483,14 +479,12 @@ class Engine:
         *,
         payload: dict[str, Any] | None = None,
         control: bool = False,
-        long_range: bool = False,
         phantom_pos: tuple[float, float] | None = None,
     ) -> Packet:
         """A packet from src with the next id; its origin is src."""
         # positional, in field order: keyword matching costs more than the rest
         return Packet(
-            self.next_packet_id(), kind, src, src, dst,
-            {} if payload is None else payload, control, long_range, phantom_pos,
+            self.next_packet_id(), kind, src, src, dst, {} if payload is None else payload, control, phantom_pos
         )
 
     def fan_out(
@@ -515,10 +509,6 @@ class Engine:
             raise ValueError(f"cannot schedule event at {t} before current time {self.now}")
         heapq.heappush(self._heap, (t, self._seq, handler, arg))
         self._seq += 1
-
-    def interference_dbm_at(self, x: float, y: float, t0: SimTime, t1: SimTime | None = None) -> float:
-        """Noise floor plus all jammers active anywhere in [t0, t1)."""
-        return self._jammer_level(x, y, self._jammers_on(t0, t0 + 1 if t1 is None else t1))
 
     def _jammers_on(self, t0: SimTime, t1: SimTime) -> tuple[int, ...]:
         """The indices in self.interference of the jammers active anywhere in [t0, t1)."""
@@ -591,7 +581,8 @@ class Engine:
         compromise = self.compromise
         links = self._links
         contending = self._contending
-        cell_sent = self._cell_sent
+        cell_tally = self._cell_tally
+        base = self.topology.base_id
         gauss = self._shadow_rng.gauss
         sigma = radio.shadowing_sigma_db
         sensitivity = radio.rx_sensitivity_dbm
@@ -618,26 +609,26 @@ class Engine:
                 counters.sent[kind] = counters.sent.get(kind, 0) + 1
                 if control:
                     counters.control_sent += 1
-                counted = cell is not None and not packet.long_range
+                counted = cell is not None  # a regional, the one sender to the base, has no cell
                 if counted:
-                    cell_sent[cell] += 1
-                    if senses:
-                        self._record_carrier_sense(cell, tx_pos, jammers)
+                    tally = cell_tally[cell]
+                    tally[0] += 1
+                    if senses:  # a cluster senses the carrier first: one sample, busy or not
+                        tally[2] += 1
+                        if self._jammer_level(tx_pos[0], tx_pos[1], jammers) > radio.cs_busy_threshold_dbm:
+                            tally[3] += 1
             else:
                 transmitter = None  # external attacker hardware is not metered
                 tx_pos = packet.phantom_pos
                 cell = nodes[packet.origin].cell
                 counted, energy_uj = False, 0.0
-                det = self._phantom_links.get((tx_pos, dst))
-                if det is None:
-                    dst_node = nodes[dst]
-                    distance = math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y)
-                    det = self._phantom_links[(tx_pos, dst)] = radio.deterministic_rssi(distance)
-                into_cluster = nodes[dst].role is NodeRole.CLUSTER
+                dst_node = nodes[dst]
+                det = radio.deterministic_rssi(math.hypot(tx_pos[0] - dst_node.x, tx_pos[1] - dst_node.y))
+                into_cluster = dst_node.role is NodeRole.CLUSTER
             # positional, in field order: keyword matching costs more than the rest
             trace(TraceEvent(now, "tx", src, dst, cell, "", None, energy_uj, packet.packet_id, kind, control))
 
-            if packet.long_range and reliable:
+            if dst == base and reliable:  # the base is reached over the long-range uplink alone
                 rssi, in_range, contends = None, True, False
             else:
                 rssi = det
@@ -665,15 +656,6 @@ class Engine:
             receiver.role is NodeRole.CLUSTER, self.log.meters[src], self.log.counters[src],
         )
         return link
-
-    def _record_carrier_sense(self, cell: HexCoord, pos: tuple[float, float], jammers: tuple[int, ...]) -> None:
-        """Sample a cluster's carrier-sense wait; jammers are the jammers on now (_jammers_on)."""
-        radio = self.config.radio
-        level = self._jammer_level(pos[0], pos[1], jammers)
-        wait = radio.cs_turnaround_us
-        if level > radio.cs_busy_threshold_dbm:
-            wait += radio.cs_busy_wait_us
-        self._cell_cs_samples[cell].append(wait)
 
     def _resolve(self, burst: tuple[SimTime, SimTime, list[tuple]]) -> None:
         """Resolve one burst, hop by hop in send order: deliver or drop, overhear, prune.
@@ -718,7 +700,7 @@ class Engine:
             if outcome is Outcome.DELIVERED:
                 meters[dst].rx_j += rx_j
                 if counted:
-                    self._cell_delivered[cell] += 1
+                    self._cell_tally[cell][1] += 1
                 if packet.packet_id in self._truth_ids:
                     log.delivered_to[packet.packet_id] = dst
                 trace(TraceEvent(now, "rx", packet.src, dst, cell, "Delivered", rssi, rx_uj,
@@ -826,9 +808,11 @@ class Engine:
                 if radio.shadowing_sigma_db > 0.0:
                     level += self._idle_rng.gauss(0.0, radio.shadowing_sigma_db)
                 samples.append(level)
-            cs = self._cell_cs_samples[cell]
-            sent = self._cell_sent[cell]
-            delivered = self._cell_delivered[cell]
+            sent, delivered, sensed, busy = self._cell_tally[cell]
+            self._cell_tally[cell] = [0, 0, 0, 0]
+            # every sample waits the turnaround and a busy one the busy wait too:
+            # both are integers, so this is the exact mean of the samples
+            cs_total = sensed * radio.cs_turnaround_us + busy * radio.cs_busy_wait_us
             by_cell[cell] = ChannelWindowStats(
                 cell=cell,
                 window=window,
@@ -836,11 +820,8 @@ class Engine:
                 delivered=delivered,
                 pdr=(delivered / sent) if sent else 1.0,
                 mean_idle_rssi_dbm=sum(samples) / len(samples),
-                mean_carrier_sense_us=(sum(cs) / len(cs)) if cs else float(radio.cs_turnaround_us),
+                mean_carrier_sense_us=(cs_total / sensed) if sensed else float(radio.cs_turnaround_us),
             )
-            self._cell_sent[cell] = 0
-            self._cell_delivered[cell] = 0
-            self._cell_cs_samples[cell] = []
         self.log.window_stats.append(by_cell)
 
     def _window_boundary(self, window: int) -> None:

@@ -1,17 +1,22 @@
 """Scenario configuration: strict parsing, canonical echo, stable hashing."""
 
+import copy
 import dataclasses
 import json
+import math
 import re
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodsim.attacks import AttackKind, AttackSpec, TargetRole
 from hodsim.cli import main
 from hodsim.config import ConfigError, ScenarioConfig, SimSection, TopologyConfig
 from hodsim.metrics import run_scenario
-from hodsim.simcore import CompromiseMode, MacConfig, RadioModel
+from hodsim.simcore import CompromiseMode, Engine, MacConfig, RadioModel
 from hodsim.topology import HexCoord
 
 FULL_YAML = """\
@@ -552,3 +557,42 @@ class TestFromFile:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             ScenarioConfig.from_file(str(tmp_path / "absent.yaml"))
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples_cfg"
+
+
+def _leaves(node, path=()):
+    """The path of every scalar in a parsed YAML document, through mappings and lists."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaves(child, (*path, key))]
+
+
+_DOCUMENTS = {p.stem: yaml.safe_load(p.read_text(encoding="utf-8")) for p in sorted(EXAMPLES.glob("*.yaml"))}
+# every leaf of every bundled example; none of them sizes a topology beyond rings 2
+_EXAMPLE_LEAVES = [(name, path) for name, doc in _DOCUMENTS.items() for path in _leaves(doc)]
+_ODD_VALUES = [-1, 0, 1, 0.5, math.nan, math.inf, -0.0, "x", None, True, [], {}]
+
+
+class TestRobustness:
+    """A bundled example with any one leaf set to an odd value is rejected or builds an engine."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.sampled_from(_EXAMPLE_LEAVES), st.sampled_from(_ODD_VALUES))
+    def test_one_odd_leaf_is_a_config_error_or_a_scenario(self, leaf, value):
+        name, path = leaf
+        data = copy.deepcopy(_DOCUMENTS[name])
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(value)
+        try:
+            scenario = ScenarioConfig.from_dict(data)
+        except ConfigError:
+            return
+        Engine(scenario, seed=scenario.seed, mode="hod")

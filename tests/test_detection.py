@@ -31,6 +31,7 @@ from hodsim.simcore import (
     ChannelWindowStats,
     CompromiseMode,
     GroundTruthEvent,
+    Outcome,
     Packet,
     PacketKind,
     RadioModel,
@@ -437,7 +438,7 @@ class TestWatchdog:
         self.sensor = self.topo.sensors_of(CELL)[0]
         self.regional = self.topo.regional_of_cell(CELL)
 
-    def check(self, monitor, monitored, window=5, last_seen=4, suppressed=None):
+    def check(self, monitor, monitored, window=5, last_seen=4, suppressed=0):
         return watchdog_check(
             self.topo,
             monitor,
@@ -468,18 +469,70 @@ class TestWatchdog:
         assert [a.rule for a in alerts] == [AlertRule.MISSED_HEARTBEAT]
 
     def test_suppression_requires_full_lookback(self):
-        fires = self.check(self.regional, self.cluster, suppressed=[True, True])
+        fires = self.check(self.regional, self.cluster, suppressed=2)
         assert [a.rule for a in fires] == [AlertRule.SUPPRESSED_ALERTS]
-        assert self.check(self.regional, self.cluster, suppressed=[True, False]) == []
-        assert self.check(self.regional, self.cluster, suppressed=[True]) == []
-        assert self.check(self.regional, self.cluster, suppressed=None) == []
+        assert [a.rule for a in self.check(self.regional, self.cluster, suppressed=3)] == [AlertRule.SUPPRESSED_ALERTS]
+        assert self.check(self.regional, self.cluster, suppressed=1) == []
+        assert self.check(self.regional, self.cluster) == []
 
     def test_liveness_and_suppression_can_costack(self):
-        alerts = self.check(self.regional, self.cluster, window=5, last_seen=2, suppressed=[True, True])
+        alerts = self.check(self.regional, self.cluster, window=5, last_seen=2, suppressed=2)
         assert {a.rule for a in alerts} == {
             AlertRule.MISSED_HEARTBEAT,
             AlertRule.SUPPRESSED_ALERTS,
         }
+
+
+class TestSuppressionRun:
+    """The regional counts a child's run of jammed windows it reported clean; an unread inbox restarts it."""
+
+    def run(self, silent_step=None, horizon=10):
+        # a weak jammer on CELL from window 1 on, under a FalseData cluster that reports zero alerts
+        attacks = [
+            AttackSpec(kind=AttackKind.JAMMING, start_us=W, end_us=horizon * W, cell=CELL, power_dbm=-10.0),
+            AttackSpec(
+                kind=AttackKind.NODE_COMPROMISE,
+                start_us=0,
+                end_us=horizon * W,
+                cell=CELL,
+                compromise_mode="FalseData",
+            ),
+        ]
+        if silent_step is not None:
+            # the regional's step at the end of window silent_step, and no other, is Silent
+            boundary = (silent_step + 1) * W
+            attacks.append(
+                AttackSpec(
+                    kind=AttackKind.NODE_COMPROMISE,
+                    start_us=boundary - W // 2,
+                    end_us=boundary + W // 2,
+                    target_role="regional",
+                    region=make_engine(sensors_per_cell=3).topology.region_of_cell[CELL],
+                    compromise_mode="Silent",
+                )
+            )
+        eng = make_engine(sensors_per_cell=3, horizon_windows=horizon, attacks=attacks)
+        HodMonitors(eng)
+        apply_attacks(eng)
+        eng.run()
+        thresholds = eng.config.detect.resolved(eng.config.radio)
+        fired = [w for w, by_cell in enumerate(eng.log.window_stats) if detect_jamming(by_cell[CELL], thresholds)]
+        assert fired == list(range(1, horizon))  # the vote fires on CELL in every jammed window
+        cluster = eng.topology.cluster_of(CELL)
+        return [
+            a.window
+            for a in eng.log.alerts
+            if a.rule is AlertRule.SUPPRESSED_ALERTS and a.suspect == suspect_node(cluster)
+        ]
+
+    def test_a_false_data_cluster_in_a_jammed_cell_is_named(self):
+        # the reports about windows 1 and 2 are read at steps 2 and 3: the run reaches 2 at step 3
+        assert self.run() == [3, 4, 5, 6, 7, 8, 9]
+
+    def test_a_silent_regional_step_restarts_the_run(self):
+        # step 5 reads nothing; the reports about windows 5 and 6, read at steps 6
+        # and 7, start a new run, which reaches the timeout of 2 at step 7
+        assert self.run(silent_step=5) == [3, 4, 7, 8, 9]
 
 
 class TestRippling:
@@ -606,6 +659,46 @@ class TestRippling:
         spoofed = {g.packet_id for g in eng.log.ground_truth if g.kind == "SlotSpoof"}
         at_base = {r.alert.packet_id for r in eng.log.base_received if r.alert.rule is AlertRule.SLOT_VIOLATION}
         assert at_base == spoofed
+
+    def test_an_alarm_lost_before_a_silent_step_is_resent_once(self):
+        # the alarms sent at W are jammed at the regional; the cluster is Silent
+        # at 2W and must resend them, as new packets, when it speaks at 3W
+        topo = make_engine(sensors_per_cell=3).topology
+        regional_pos = topo.position(topo.regional_of_cell(CELL))
+        eng = self.spoofed_run(
+            AttackSpec(
+                kind=AttackKind.JAMMING,
+                start_us=W - 10_000,
+                end_us=W + 10_000,
+                cell=CELL,
+                position=regional_pos,
+                power_dbm=30.0,
+            ),
+            AttackSpec(
+                kind=AttackKind.NODE_COMPROMISE,
+                start_us=3 * W // 2,
+                end_us=5 * W // 2,
+                cell=CELL,
+                compromise_mode="Silent",
+            ),
+            end_us=W,
+        )
+        cluster = eng.topology.cluster_of(CELL)
+        sent: dict[int, list[int]] = {}  # time -> the alarm packets the cluster sent then, in order
+        for e in eng.log.events:
+            if e.event_kind == "tx" and e.src == cluster and e.pkt_kind == PacketKind.REGIONAL_ALARM.value:
+                sent.setdefault(e.time_us, []).append(e.packet_id)
+        fate = {e.packet_id: (e.time_us, e.outcome) for e in eng.log.events if e.event_kind in ("rx", "drop")}
+        spoofed = {g.packet_id for g in eng.log.ground_truth if g.kind == "SlotSpoof"}
+        n = len(spoofed)
+        assert [fate[pid] for pid in sent[W]] == [(W + 2000, Outcome.JAMMED.value)] * n
+        assert 2 * W not in sent
+        # the kept alarms lead the burst, ahead of this window's own
+        assert [fate[pid] for pid in sent[3 * W][:n]] == [(3 * W + 2000, Outcome.DELIVERED.value)] * n
+        at_base = Counter(
+            r.alert.packet_id for r in eng.log.base_received if r.alert.rule is AlertRule.SLOT_VIOLATION
+        )
+        assert at_base == Counter(spoofed)
 
     def test_false_data_cluster_drops_alarms_queued_before_its_compromise(self):
         # the spoof's alarms wait in the outbox while the uplink is jammed; the

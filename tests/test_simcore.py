@@ -76,21 +76,31 @@ class TestRadioMath:
         assert radio.deterministic_rssi(d_max + 0.01) < -85.0
         assert 74.9 < d_max < 75.0
 
+    def sampled_rssi(self, sigma, n):
+        """The RSSI the engine samples on n hops over one cluster -> regional link, and the link's length."""
+        eng = make_engine(radio=RadioModel(shadowing_sigma_db=sigma))
+        topo = eng.topology
+        cell = sorted(topo.cells)[0]
+        cluster, regional = topo.cluster_of(cell), topo.regional_of_cell(cell)
+        eng.send(*(data_packet(eng, cluster, regional) for _ in range(n)))
+        drain(eng)
+        rows = [e for e in eng.log.events if e.event_kind in ("rx", "drop")]
+        assert len(rows) == n
+        (cx, cy), (rx, ry) = topo.position(cluster), topo.position(regional)
+        return [e.rssi_dbm for e in rows], math.hypot(cx - rx, cy - ry)
+
     def test_shadowing_statistics(self):
-        radio = RadioModel(shadowing_sigma_db=4.0)
-        rng = random.Random(77)
         n = 4000
-        samples = [radio.rssi_at(10.0, rng) for _ in range(n)]
+        samples, distance = self.sampled_rssi(4.0, n)
         mean = sum(samples) / n
         var = sum((s - mean) ** 2 for s in samples) / (n - 1)
-        # mean within 4 standard errors, sigma within 10%
-        assert abs(mean - (-64.0)) < 4.0 * 4.0 / math.sqrt(n)
+        # mean within 4 standard errors of -40 - 24*log10(d), sigma within 10%
+        assert abs(mean - (-40.0 - 24.0 * math.log10(distance))) < 4.0 * 4.0 / math.sqrt(n)
         assert abs(math.sqrt(var) - 4.0) < 0.4
 
     def test_zero_sigma_is_deterministic(self):
-        radio = RadioModel()
-        rng = random.Random(1)
-        assert radio.rssi_at(25.0, rng) == radio.deterministic_rssi(25.0)
+        samples, distance = self.sampled_rssi(0.0, 5)
+        assert samples == [RadioModel().deterministic_rssi(distance)] * 5
 
 
 class TestEnergyModel:
@@ -146,7 +156,7 @@ def drain(engine, t_end=None):
         handler(arg)
 
 
-def data_packet(engine, src, dst, control=False, long_range=False):
+def data_packet(engine, src, dst, control=False):
     return Packet(
         packet_id=engine.next_packet_id(),
         kind=PacketKind.SENSOR_DATA if not control else PacketKind.HEARTBEAT,
@@ -154,7 +164,6 @@ def data_packet(engine, src, dst, control=False, long_range=False):
         origin=src,
         dst=dst,
         control=control,
-        long_range=long_range,
     )
 
 
@@ -282,10 +291,10 @@ class TestDeliveryOutcomes:
         eng.interference.append(
             InterferenceSource(x=bx, y=by, power_dbm=30.0, start_us=0, end_us=10**7)
         )
-        eng.schedule(0, eng.send, data_packet(eng, regional, topo.base_id, long_range=True))
+        eng.schedule(0, eng.send, data_packet(eng, regional, topo.base_id))
         eng.run()
         assert [o for o, _ in self.outcomes(eng.log)] == ["rx"]
-        # the regional has no cell, and a long-range send counts toward none
+        # the regional has no cell, and a send to the base counts toward none
         (rx,) = [e for e in eng.log.events if e.event_kind == "rx"]
         assert rx.cell is None
         assert all(s.sent == s.delivered == 0 for s in eng.log.window_stats[0].values())
@@ -307,7 +316,7 @@ class TestBursts:
         packets = [
             data_packet(eng, a1, cluster),
             data_packet(eng, silent, topo.regional_of_cell(cell_b), control=True),
-            data_packet(eng, regional, topo.base_id, long_range=True),  # the reliable channel
+            data_packet(eng, regional, topo.base_id),  # the reliable channel
             data_packet(eng, a2, cluster),  # overlaps the first send into the cluster
             data_packet(eng, a3, a1),  # a detour: delivered to a sensor, relayed onward
             dataclasses.replace(data_packet(eng, cluster, regional), kind=PacketKind.CLUSTER_REPORT),
@@ -586,11 +595,14 @@ class TestEngineMechanics:
         eng.interference.append(InterferenceSource(x=x, y=y, power_dbm=0.0, start_us=0, end_us=100))
         # two colocated 0 dBm sources at the sample point (clamped to 1 m)
         want = 10.0 * math.log10(db_to_mw(-95.0) + 2.0 * db_to_mw(-40.0))
-        assert eng.interference_dbm_at(x, y, 50) == pytest.approx(want, abs=1e-9)
+        assert eng._jammer_level(x, y, eng._jammers_on(50, 51)) == pytest.approx(want, abs=1e-9)
         # outside the active window only the floor remains
-        assert eng.interference_dbm_at(x, y, 200) == -95.0
+        assert eng._jammer_level(x, y, eng._jammers_on(200, 201)) == -95.0
 
     def test_interference_cache_matches_the_uncached_sum(self):
+        def cached(eng, x, y, t0, t1=None):
+            return eng._jammer_level(x, y, eng._jammers_on(t0, t0 + 1 if t1 is None else t1))
+
         def uncached(eng, x, y, t0, t1=None):
             t1 = t0 + 1 if t1 is None else t1
             radio = eng.config.radio
@@ -611,11 +623,11 @@ class TestEngineMechanics:
         for warm in (False, True):
             for x, y in points:
                 for t0, t1 in times:
-                    assert eng.interference_dbm_at(x, y, t0, t1) == uncached(eng, x, y, t0, t1), (warm, x, y, t0, t1)
+                    assert cached(eng, x, y, t0, t1) == uncached(eng, x, y, t0, t1), (warm, x, y, t0, t1)
         # a jammer appended after the queries is seen by the next one
-        before = eng.interference_dbm_at(0.0, 0.0, 250)
+        before = cached(eng, 0.0, 0.0, 250)
         eng.interference.append(InterferenceSource(x=0.0, y=0.0, power_dbm=-20.0, start_us=0, end_us=1000))
-        after = eng.interference_dbm_at(0.0, 0.0, 250)
+        after = cached(eng, 0.0, 0.0, 250)
         assert after > before
         assert after == uncached(eng, 0.0, 0.0, 250)
 
@@ -645,8 +657,9 @@ class TestEngineMechanics:
         )
         eng.schedule(10_000, eng.send, data_packet(eng, cluster, regional))
         eng.schedule(55_000, eng.send, data_packet(eng, cluster, regional))
-        drain(eng)
-        assert eng._cell_cs_samples[cell] == [128, 5128]
+        eng.run()
+        # one idle wait of 128 us, one busy one of 128 + 5000 us
+        assert eng.log.window_stats[0][cell].mean_carrier_sense_us == 2628.0
 
     def test_attack_free_pdr_is_one(self):
         eng = make_engine(
@@ -754,7 +767,6 @@ class TestLinkTable:
         assert len(forged) == 5 and sum(e.packet_id in forged for e in tx) == 5
         assert len(priced) == len(metered) == len(eng._links)
         assert set(eng._links) == metered
-        assert {dst for _pos, dst in eng._phantom_links} == {eng.topology.cluster_of(HexCoord(0, 0))}
 
 
 class TestDeterminism:
